@@ -28,10 +28,6 @@ object ASeq extends TrendEngine {
     val children = mutable.Set.empty[String]
   }
 
-  /** Number of flattened fixed-length queries the run materialized
-    * (= realized complete-word prefixes); reported by the benchmarks. */
-  def queryCount(r: RunResult): Long = r.trends // stored in the trends field
-
   def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult =
     try {
       require(q.adjPreds.isEmpty, "A-Seq does not support predicates on adjacent events")

@@ -14,15 +14,26 @@ object BruteForce {
     * type to the end type, with all applicable adjacent-event predicates
     * holding between consecutive trend events. */
   def anyTrends(events: IndexedSeq[Ev], q: TrendQuery, maxTrends: Long = 10_000_000L): Vector[Vector[Ev]] = {
+    var n = 0L
+    anyTrendsWith(events, q) { (_, trend) =>
+      if (trend != null) { n += 1; if (n > maxTrends) throw new BudgetExceeded }
+    }
+  }
+
+  /** The DFS behind [[anyTrends]]. `budget(steps, trend)` runs on every DFS
+    * step, with the trend that step completed (null if none), and throws
+    * [[BudgetExceeded]] to abort the enumeration. */
+  def anyTrendsWith(events: IndexedSeq[Ev], q: TrendQuery)(budget: (Long, Vector[Ev]) => Unit): Vector[Vector[Ev]] = {
     val info = q.info
     val out = mutable.ArrayBuffer.empty[Vector[Ev]]
     val cur = mutable.ArrayBuffer.empty[Ev]
+    var steps = 0L
     def dfs(fromIdx: Int): Unit = {
+      steps += 1
       val last = cur.last
-      if (info.isEnd(last.etype)) {
-        out += cur.toVector
-        if (out.size > maxTrends) throw new BudgetExceeded
-      }
+      val trend = if (info.isEnd(last.etype)) cur.toVector else null
+      if (trend != null) out += trend
+      budget(steps, trend)
       var j = fromIdx
       while (j < events.size) {
         val e = events(j)
@@ -74,19 +85,18 @@ object BruteForce {
   /** Aggregate a set of explicitly constructed trends (the two-step
     * approach's second step, and the definition the incremental aggregators
     * must agree with). */
-  def aggregate(trendSet: Iterable[Vector[Ev]], target: String): Agg = {
-    var acc = Agg.zero
-    for (tr <- trendSet) {
-      val ts = tr.filter(_.etype == target)
-      val a = Agg(
-        count = 1,
-        countE = ts.size,
-        sum = ts.map(_.value).sum,
-        min = if (ts.isEmpty) Double.PositiveInfinity else ts.map(_.value).min,
-        max = if (ts.isEmpty) Double.NegativeInfinity else ts.map(_.value).max)
-      acc = Agg.merge(acc, a)
-    }
-    acc
+  def aggregate(trendSet: Iterable[Vector[Ev]], target: String): Agg =
+    trendSet.foldLeft(Agg.zero)((acc, tr) => Agg.merge(acc, trendAgg(tr, target)))
+
+  /** The aggregate bundle of one trend. */
+  def trendAgg(trend: Iterable[Ev], target: String): Agg = {
+    val ts = trend.filter(_.etype == target)
+    Agg(
+      count = 1,
+      countE = ts.size,
+      sum = ts.map(_.value).sum,
+      min = if (ts.isEmpty) Double.PositiveInfinity else ts.map(_.value).min,
+      max = if (ts.isEmpty) Double.NegativeInfinity else ts.map(_.value).max)
   }
 
   /** Full declarative evaluation: enumerate then aggregate. */

@@ -25,7 +25,20 @@ object FlinkLike extends TrendEngine {
       // flattened fixed-length sequence query; the union of their result
       // sets is exactly the trend set).
       val stored = q.semantics match {
-        case Semantics.ANY  => collectAny(events, q, budget)
+        case Semantics.ANY  =>
+          val deadline = budget.deadline
+          var trends = 0L
+          var unitsStored = 0L
+          BruteForce.anyTrendsWith(events, q) { (steps, trend) =>
+            if ((steps & 0xFFFF) == 0 && System.currentTimeMillis() > deadline)
+              throw new BudgetExceeded
+            if (trend != null) {
+              trends += 1
+              unitsStored += trend.size
+              if (trends > budget.maxTrends || unitsStored > budget.maxUnits ||
+                  System.currentTimeMillis() > deadline) throw new BudgetExceeded
+            }
+          }
         case Semantics.CONT => collectCont(events, q, budget)
         case Semantics.NEXT => throw new IllegalArgumentException("Flink does not support NEXT")
       }
@@ -34,40 +47,6 @@ object FlinkLike extends TrendEngine {
       val acc = BruteForce.aggregate(stored, q.target)
       RunResult(acc, units, stored.size.toLong, dnf = false)
     } catch { case _: BudgetExceeded => RunResult.DNF }
-
-  private def collectAny(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): Vector[Vector[Ev]] = {
-    val deadline = budget.deadline
-    val info = q.info
-    val out = mutable.ArrayBuffer.empty[Vector[Ev]]
-    var unitsStored = 0L
-    val cur = mutable.ArrayBuffer.empty[Ev]
-    var steps = 0L
-    def dfs(fromIdx: Int): Unit = {
-      steps += 1
-      if ((steps & 0xFFFF) == 0 && System.currentTimeMillis() > deadline)
-        throw new BudgetExceeded
-      val last = cur.last
-      if (info.isEnd(last.etype)) {
-        out += cur.toVector
-        unitsStored += cur.size
-        if (out.size > budget.maxTrends || unitsStored > budget.maxUnits ||
-            System.currentTimeMillis() > deadline) throw new BudgetExceeded
-      }
-      var j = fromIdx
-      while (j < events.size) {
-        val e = events(j)
-        if (info.contains(e.etype) && info.preds(e.etype).contains(last.etype) &&
-            AdjPred.holds(q.adjPreds, last, e)) {
-          cur += e; dfs(j + 1); cur.remove(cur.size - 1)
-        }
-        j += 1
-      }
-    }
-    for (i <- events.indices if events(i).etype == info.start) {
-      cur += events(i); dfs(i + 1); cur.remove(cur.size - 1)
-    }
-    out.toVector
-  }
 
   /** Contiguous matches never branch: from each start-type event, walk the
     * following substream events while the FSA permits, recording a match at

@@ -57,12 +57,7 @@ object Sase extends TrendEngine {
       trendCount += 1
       if (trendCount > budget.maxTrends || System.currentTimeMillis() > deadline)
         throw new BudgetExceeded
-      val ts = cur.filter(_.etype == q.target)
-      val a = Agg(1, ts.size,
-        ts.iterator.map(_.value).sum,
-        if (ts.isEmpty) Double.PositiveInfinity else ts.iterator.map(_.value).min,
-        if (ts.isEmpty) Double.NegativeInfinity else ts.iterator.map(_.value).max)
-      acc = Agg.merge(acc, a)
+      acc = Agg.merge(acc, BruteForce.trendAgg(cur, q.target))
     }
     var steps = 0L
     def dfs(i: Int): Unit = {

@@ -27,20 +27,13 @@ object SparkRunner {
   def run(spark: SparkSession, events: Dataset[Ev], q: TrendQuery,
           engine: TrendEngine, budget: Budget): Dataset[EngineWinResult] = {
     import spark.implicits._
-    val win = q.window
-    events
-      .flatMap(e => win.windowsOf(e.time).map(wid => (wid, e)))
-      .groupByKey { case (wid, e) => (e.group, wid) }
-      .mapGroups { (key: (String, Long), it: Iterator[(Long, Ev)]) =>
-        val (g, wid) = key
-        val evs = it.map(_._2).toArray
-        scala.util.Sorting.stableSort(evs, (a: Ev, b: Ev) => Ev.ordering.lt(a, b))
-        val t0 = System.nanoTime()
-        val r = engine.run(evs, q, budget)
-        val ms = (System.nanoTime() - t0) / 1e6
-        EngineWinResult(engine.name, g, wid, r.agg.count, r.agg.countE, r.agg.sum,
-          r.agg.min, r.agg.max, r.peakUnits, r.trends, r.dnf, ms)
-      }
+    Substreams.map(events, q.window) { (g, wid, evs) =>
+      val t0 = System.nanoTime()
+      val r = engine.run(evs, q, budget)
+      val ms = (System.nanoTime() - t0) / 1e6
+      EngineWinResult(engine.name, g, wid, r.agg.count, r.agg.countE, r.agg.sum,
+        r.agg.min, r.agg.max, r.peakUnits, r.trends, r.dnf, ms)
+    }
   }
 
   /** Run and reduce to a workload summary (peak memory = max over

@@ -1,0 +1,27 @@
+package repro.core
+
+/** A matched event retained by the mixed-grained aggregator (type in T_e),
+  * together with its event-grained aggregate. */
+final case class StoredEv(sid: Long, time: Long, etype: String, value: Double, agg: Agg)
+    extends Serializable {
+  /** Reconstruct an event view for predicate evaluation (group is
+    * irrelevant inside a substream). */
+  def toEv: Ev = Ev(sid, time, etype, "", value)
+}
+
+/** Serializable snapshot of a Cogra aggregator's state — the per-key state
+  * that `CograStream` persists between micro-batches. Each granularity has
+  * its own state type holding exactly what it reads. */
+sealed trait AggState extends Serializable
+
+/** Type-grained state (Algorithm 1): one aggregate per event type. */
+final case class TypeState(typeAggs: Map[String, Agg]) extends AggState
+
+/** Mixed-grained state (Algorithm 2): aggregates of the T_t types, the
+  * stored T_e events, and the final aggregate. */
+final case class MixedState(typeAggs: Map[String, Agg], events: Seq[StoredEv], finalAgg: Agg)
+    extends AggState
+
+/** Pattern-grained state (Algorithm 3): the last matched event with its
+  * aggregate, if any, and the final aggregate. */
+final case class PatternState(tip: Option[StoredEv], finalAgg: Agg) extends AggState

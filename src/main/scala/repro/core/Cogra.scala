@@ -5,11 +5,12 @@ package repro.core
   * granularity (Table 4) and instantiates the matching aggregator. */
 object Cogra {
 
-  def aggregator(q: TrendQuery, restore: Option[CograState] = None): TrendAggregator =
+  /** `restore` must be a snapshot of an aggregator for the same query. */
+  def aggregator(q: TrendQuery, restore: Option[AggState] = None): TrendAggregator[_ <: AggState] =
     Granularity.select(q) match {
-      case Granularity.TypeG    => new TypeGrained(q, restore)
-      case Granularity.MixedG   => new MixedGrained(q, restore)
-      case Granularity.PatternG => new PatternGrained(q, restore)
+      case Granularity.TypeG    => new TypeGrained(q, restore.map(_.asInstanceOf[TypeState]))
+      case Granularity.MixedG   => new MixedGrained(q, restore.map(_.asInstanceOf[MixedState]))
+      case Granularity.PatternG => new PatternGrained(q, restore.map(_.asInstanceOf[PatternState]))
     }
 
   /** Run over one time-ordered substream. */

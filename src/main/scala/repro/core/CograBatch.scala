@@ -8,25 +8,15 @@ import org.apache.spark.sql.{Dataset, SparkSession}
 final case class WinResult(group: String, wid: Long, count: Double, countE: Double,
                            sum: Double, min: Double, max: Double, avg: Double)
 
-/** Spark batch driver for Cogra: sliding-window assignment, then per
-  * (group, window) substream incremental aggregation via the typed Dataset
-  * API — GROUP-BY/equivalence predicates and windows become shuffle keys
-  * exactly as the paper's §7 partitions the stream.
-  */
+/** Spark batch execution of Cogra: per (group, window) substream
+  * ([[Substreams]]) incremental aggregation via the typed Dataset API. */
 object CograBatch {
 
   def run(spark: SparkSession, events: Dataset[Ev], q: TrendQuery): Dataset[WinResult] = {
     import spark.implicits._
-    val win = q.window
-    events
-      .flatMap(e => win.windowsOf(e.time).map(wid => (wid, e)))
-      .groupByKey { case (wid, e) => (e.group, wid) }
-      .mapGroups { (key: (String, Long), it: Iterator[(Long, Ev)]) =>
-        val (g, wid) = key
-        val evs = it.map(_._2).toArray
-        scala.util.Sorting.stableSort(evs, (a: Ev, b: Ev) => Ev.ordering.lt(a, b))
-        val agg = Cogra.run(evs, q)
-        WinResult(g, wid, agg.count, agg.countE, agg.sum, agg.min, agg.max, agg.avg)
-      }
+    Substreams.map(events, q.window) { (g, wid, evs) =>
+      val agg = Cogra.run(evs, q)
+      WinResult(g, wid, agg.count, agg.countE, agg.sum, agg.min, agg.max, agg.avg)
+    }
   }
 }

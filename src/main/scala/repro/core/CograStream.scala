@@ -1,15 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
-import org.apache.spark.sql.streaming.{GroupStateTimeout, OutputMode}
+import org.apache.spark.sql.{Dataset, Encoder, SparkSession}
+import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
 /** Structured Streaming driver for Cogra.
   *
   * The paper's incremental model — "update aggregates on event arrival,
   * discard the event" — maps 1:1 onto keyed state in
   * `flatMapGroupsWithState`: the state per (group, window) key is exactly
-  * the Cogra aggregator state ([[CograState]]): type-grained aggregate
-  * slots, the stored T_e events of the mixed granularity, or the
+  * the state of the query's granularity ([[AggState]]): type-grained
+  * aggregate slots, the stored T_e events of the mixed granularity, or the
   * pattern-grained last-event + final aggregates. Each micro-batch folds
   * its events into the state and emits the current aggregate (Update mode);
   * per-key results are monotone in `count`, so the row with the maximal
@@ -20,29 +20,26 @@ import org.apache.spark.sql.streaming.{GroupStateTimeout, OutputMode}
   */
 object CograStream {
 
-  /** An event replicated into one of its sliding windows. */
-  final case class KEv(group: String, wid: Long, sid: Long, time: Long,
-                       etype: String, value: Double)
-
   def run(spark: SparkSession, events: Dataset[Ev], q: TrendQuery): Dataset[WinResult] = {
     import spark.implicits._
-    val win = q.window
-    events
-      .flatMap(e => win.windowsOf(e.time).map(wid =>
-        KEv(e.group, wid, e.sid, e.time, e.etype, e.value)))
-      .groupByKey(k => (k.group, k.wid))
-      .flatMapGroupsWithState[CograState, WinResult](
-        OutputMode.Update, GroupStateTimeout.NoTimeout) {
-        (key: (String, Long), it: Iterator[KEv],
-         state: org.apache.spark.sql.streaming.GroupState[CograState]) =>
-          val (g, wid) = key
-          val evs = it.toArray.sortBy(k => (k.time, k.sid))
-          val prev = state.getOption.getOrElse(CograState.empty)
-          val agg = Cogra.aggregator(q, Some(prev))
-          evs.foreach(k => agg.onEvent(Ev(k.sid, k.time, k.etype, g, k.value)))
+    Granularity.select(q) match {
+      case Granularity.TypeG    => fold[TypeState](events, q, new TypeGrained(q, _))
+      case Granularity.MixedG   => fold[MixedState](events, q, new MixedGrained(q, _))
+      case Granularity.PatternG => fold[PatternState](events, q, new PatternGrained(q, _))
+    }
+  }
+
+  private def fold[S <: AggState : Encoder](events: Dataset[Ev], q: TrendQuery,
+      aggregator: Option[S] => TrendAggregator[S]): Dataset[WinResult] = {
+    import events.sparkSession.implicits._
+    Substreams.grouped(events, q.window)
+      .flatMapGroupsWithState[S, WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
+        (key: (String, Long), it: Iterator[(Long, Ev)], state: GroupState[S]) =>
+          val agg = aggregator(state.getOption)
+          Substreams.sorted(it).foreach(agg.onEvent)
           state.update(agg.snapshot)
           val r = agg.result
-          Iterator.single(WinResult(g, wid, r.count, r.countE, r.sum, r.min, r.max, r.avg))
-        }
+          Iterator.single(WinResult(key._1, key._2, r.count, r.countE, r.sum, r.min, r.max, r.avg))
+      }
   }
 }

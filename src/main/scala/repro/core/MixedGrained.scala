@@ -8,8 +8,8 @@ import scala.collection.mutable
   * predicate (T_e) keep one aggregate per stored event; all other types
   * (T_t) keep one aggregate per type. Time O(n·(t+n_e)), space Θ(t+n_e).
   */
-final class MixedGrained(val query: TrendQuery, restore: Option[CograState] = None)
-    extends TrendAggregator {
+final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = None)
+    extends TrendAggregator[MixedState] {
   private val info = query.info
   private val target = query.target
   private val preds = query.adjPreds
@@ -68,6 +68,5 @@ final class MixedGrained(val query: TrendQuery, restore: Option[CograState] = No
 
   def liveUnits: Long = typeGrained.size.toLong + stored.size + 1
   def peakUnits: Long = math.max(peak, liveUnits)
-  def snapshot: CograState =
-    CograState.empty.copy(typeAggs = slots.toMap, events = stored.toVector, finalAgg = finalAgg)
+  def snapshot: MixedState = MixedState(slots.toMap, stored.toVector, finalAgg)
 }

@@ -8,8 +8,8 @@ package repro.core
   * Fidelity note (see DESIGN.md): this is the paper's single-tip operational
   * semantics; a new start-type event replaces the tip (Algorithm 3 line 7).
   */
-final class PatternGrained(val query: TrendQuery, restore: Option[CograState] = None)
-    extends TrendAggregator {
+final class PatternGrained(val query: TrendQuery, restore: Option[PatternState] = None)
+    extends TrendAggregator[PatternState] {
   require(query.semantics == Semantics.NEXT || query.semantics == Semantics.CONT,
     "pattern granularity applies to NEXT/CONT only (Table 4)")
   private val info = query.info
@@ -17,21 +17,18 @@ final class PatternGrained(val query: TrendQuery, restore: Option[CograState] = 
   private val preds = query.adjPreds
   private val cont = query.semantics == Semantics.CONT
 
-  // Algorithm 3 line 1
-  private var hasLast = false
-  private var lastEv: Ev = _
+  // Algorithm 3 line 1: the last matched event (null if none) and its aggregate
+  private var lastEv: Ev = null
   private var lastAgg = Agg.zero
   private var finalAgg = Agg.zero
 
   restore.foreach { s =>
-    hasLast = s.hasLast
-    if (s.hasLast) lastEv = Ev(0L, 0L, s.lastType, "", s.lastValue)
-    lastAgg = s.lastAgg
+    s.tip.foreach { t => lastEv = t.toEv; lastAgg = t.agg }
     finalAgg = s.finalAgg
   }
 
   private def adjacent(e: Ev): Boolean =
-    hasLast && info.preds(e.etype).contains(lastEv.etype) &&
+    lastEv != null && info.preds(e.etype).contains(lastEv.etype) &&
       AdjPred.holds(preds, lastEv, e)
 
   def onEvent(e: Ev): Unit = {
@@ -43,10 +40,10 @@ final class PatternGrained(val query: TrendQuery, restore: Option[CograState] = 
       if (isAdj) s = Agg.merge(s, lastAgg)             // line 5
       val eAgg = Agg.extend(s, e.value, tpe == target)
       if (info.isEnd(tpe)) finalAgg = Agg.merge(finalAgg, eAgg) // line 6
-      lastEv = e; lastAgg = eAgg; hasLast = true                // line 7
+      lastEv = e; lastAgg = eAgg                                // line 7
     } else if (cont) {
       // lines 8–9: an unmatched event invalidates all partial trends
-      hasLast = false; lastAgg = Agg.zero
+      lastEv = null
     }
     // under NEXT, unmatched events are irrelevant and skipped
   }
@@ -54,10 +51,6 @@ final class PatternGrained(val query: TrendQuery, restore: Option[CograState] = 
   def result: Agg = finalAgg // line 10
   def liveUnits: Long = 2L   // final aggregate + last event's aggregate
   def peakUnits: Long = 2L
-  def snapshot: CograState = CograState.empty.copy(
-    hasLast = hasLast,
-    lastType = if (hasLast) lastEv.etype else "",
-    lastValue = if (hasLast) lastEv.value else 0.0,
-    lastAgg = lastAgg,
-    finalAgg = finalAgg)
+  def snapshot: PatternState = PatternState(
+    Option(lastEv).map(e => StoredEv(e.sid, e.time, e.etype, e.value, lastAgg)), finalAgg)
 }

@@ -57,7 +57,4 @@ object PredicateClassifier {
     info.types.filter { t =>
       preds.exists(p => p.prevType == t && info.preds(p.nextType).contains(t))
     }.toSet
-
-  def typeGrainedTypes(info: PatternInfo, preds: Seq[AdjPred]): Set[String] =
-    info.typeSet -- eventGrainedTypes(info, preds)
 }

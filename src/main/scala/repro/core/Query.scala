@@ -5,13 +5,14 @@ package repro.core
 final case class WindowSpec(size: Long, slide: Long) extends Serializable {
   require(size > 0 && slide > 0 && slide <= size, s"bad window: size=$size slide=$slide")
 
-  /** All window start ids an event at time `t` falls into. */
+  /** All window start ids an event at time `t` falls into; `t` must be
+    * non-negative. */
   def windowsOf(t: Long): Seq[Long] = {
+    require(t >= 0, s"negative event timestamp: $t")
     val hi = math.floorDiv(t, slide)                 // latest window starting at or before t
     val lo = math.floorDiv(t - size, slide) + 1      // earliest window still covering t
     (math.max(0L, lo) to hi).map(_ * slide)
   }
-  def end(wid: Long): Long = wid + size
 }
 
 /** Event trend aggregation query (paper Definition 6).

@@ -12,6 +12,4 @@ object Semantics {
   case object NEXT extends Semantics { val name = "skip-till-next-match" }
   /** Contiguous: no events are skipped (Definition 4). */
   case object CONT extends Semantics { val name = "contiguous" }
-
-  val all: Seq[Semantics] = Seq(ANY, NEXT, CONT)
 }

@@ -1,0 +1,33 @@
+package repro.core
+
+import org.apache.spark.sql.{Dataset, Encoder, KeyValueGroupedDataset}
+
+/** The substreams of paper §7, shared by `CograBatch`, `CograStream` and
+  * `SparkRunner`: each event is replicated into its sliding windows and
+  * grouped on (group, window), and a key's events are handed over in
+  * (time, sid) order. GROUP-BY/equivalence predicates and windows thus
+  * become shuffle keys.
+  */
+object Substreams {
+
+  /** Sliding-window explode and `groupByKey` on (group, window); `sorted`
+    * turns a key's rows into its time-ordered substream. */
+  def grouped(events: Dataset[Ev], win: WindowSpec): KeyValueGroupedDataset[(String, Long), (Long, Ev)] = {
+    import events.sparkSession.implicits._
+    events
+      .flatMap(e => win.windowsOf(e.time).map(wid => (wid, e)))
+      .groupByKey { case (wid, e) => (e.group, wid) }
+  }
+
+  def sorted(it: Iterator[(Long, Ev)]): Array[Ev] = {
+    val evs = it.map(_._2).toArray
+    scala.util.Sorting.stableSort(evs, (a: Ev, b: Ev) => Ev.ordering.lt(a, b))
+    evs
+  }
+
+  /** One output row per substream: `f(group, wid, events)`. */
+  def map[R: Encoder](events: Dataset[Ev], win: WindowSpec)(f: (String, Long, Array[Ev]) => R): Dataset[R] =
+    grouped(events, win).mapGroups { (key: (String, Long), it: Iterator[(Long, Ev)]) =>
+      f(key._1, key._2, sorted(it))
+    }
+}

@@ -2,8 +2,8 @@ package repro.core
 
 /** Incremental trend aggregator over one substream (one group, one window),
   * fed events in (time, sid) order. Implementations are the paper's three
-  * granularities (§§4–6). */
-trait TrendAggregator {
+  * granularities (§§4–6); `S` is the granularity's streaming state. */
+trait TrendAggregator[S <: AggState] {
   /** The query being evaluated. */
   def query: TrendQuery
   /** Process one event and discard it (unless the granularity must store it). */
@@ -15,5 +15,5 @@ trait TrendAggregator {
   /** Peak of liveUnits over the run. */
   def peakUnits: Long
   /** Serializable state for the streaming driver. */
-  def snapshot: CograState
+  def snapshot: S
 }

@@ -8,8 +8,8 @@ import scala.collection.mutable
   * adjacent to a new event, so one aggregate per event type suffices.
   * Time O(n·l), space Θ(l).
   */
-final class TypeGrained(val query: TrendQuery, restore: Option[CograState] = None)
-    extends TrendAggregator {
+final class TypeGrained(val query: TrendQuery, restore: Option[TypeState] = None)
+    extends TrendAggregator[TypeState] {
   private val info = query.info
   private val target = query.target
 
@@ -35,5 +35,5 @@ final class TypeGrained(val query: TrendQuery, restore: Option[CograState] = Non
   def result: Agg = slots(info.end)
   def liveUnits: Long = info.types.size.toLong
   def peakUnits: Long = liveUnits
-  def snapshot: CograState = CograState.empty.copy(typeAggs = slots.toMap)
+  def snapshot: TypeState = TypeState(slots.toMap)
 }

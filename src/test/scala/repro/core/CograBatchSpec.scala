@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.baselines.BruteForce
+import repro.baselines.{Budget, BruteForce, Engines, SparkRunner}
 import repro.core.Pattern._
 import repro.streams.EventGen
 
@@ -119,6 +119,24 @@ class CograBatchSpec extends SparkSpec {
         k -> Cogra.run(evs.map(_._2).sortBy(e => (e.time, e.sid)), q).count
       }
     assert(got.filter(_._2 > 0) == want.filter(_._2 > 0).toMap)
+  }
+
+  test("SparkRunner: every engine supporting ANY SEQ(A+,B) returns CograBatch's results") {
+    // two groups, sliding windows, and two events of a group per timestamp
+    val r = new scala.util.Random(3)
+    val ds = (0 until 36).map { i =>
+      Ev(i.toLong, i / 4L, if (r.nextInt(3) == 0) "B" else "A", s"g${i % 2}", r.nextInt(9).toDouble)
+    }.toDS()
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, None, WindowSpec(6, 3))
+    val want = CograBatch.run(spark, ds, q).collect()
+      .map(r => (r.group, r.wid) -> (r.count, r.countE, r.sum, r.min, r.max)).toMap
+    assert(want.size > 2 && want.values.exists(_._1 > 0))
+    for (engine <- Engines.all if engine.supports(q)) {
+      val rows = SparkRunner.run(spark, ds, q, engine, Budget()).collect()
+      assert(!rows.exists(_.dnf), engine.name)
+      val got = rows.map(r => (r.group, r.wid) -> (r.count, r.countE, r.sum, r.min, r.max)).toMap
+      assert(got == want, engine.name)
+    }
   }
 
   test("grouping isolates substreams: merging two groups changes results") {

@@ -23,12 +23,18 @@ class CograStreamSpec extends SparkSpec {
     val out = CograStream.run(spark, input.toDS(), q)
     nameSeq += 1
     val sink = s"cogra_stream_sink_$nameSeq"
-    val query = out.writeStream.outputMode("update").format("memory")
-      .queryName(sink).start()
+    // a query keeps the shuffle partitions (= state-store partitions) it
+    // starts with; a handful suffices for these few keys
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", "4")
     try {
-      // one micro-batch per chunk: addData then drain before the next chunk
-      chunks.foreach { c => input.addData(c); query.processAllAvailable() }
-    } finally query.stop()
+      val query = out.writeStream.outputMode("update").format("memory")
+        .queryName(sink).start()
+      try {
+        // one micro-batch per chunk: addData then drain before the next chunk
+        chunks.foreach { c => input.addData(c); query.processAllAvailable() }
+      } finally query.stop()
+    } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
     spark.table(sink).as[WinResult].collect()
       .groupBy(r => (r.group, r.wid))
       .map { case (k, rs) => k -> rs.maxBy(_.count) }

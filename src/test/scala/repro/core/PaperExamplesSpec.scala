@@ -67,7 +67,7 @@ class PaperExamplesSpec extends AnyFunSuite {
     fig2.zip(expected).foreach { case (e, (lc, fc)) =>
       agg.onEvent(e)
       val s = agg.snapshot
-      assert(s.lastAgg.count == lc, s"e_l.count after ${e.etype}${e.time}")
+      assert(s.tip.fold(0.0)(_.agg.count) == lc, s"e_l.count after ${e.etype}${e.time}")
       assert(s.finalAgg.count == fc, s"final_count after ${e.etype}${e.time}")
     }
     assert(agg.result.count == 8.0) // eight trends (Example 7 / Figure 2)
@@ -84,7 +84,7 @@ class PaperExamplesSpec extends AnyFunSuite {
     fig2.zip(expected).foreach { case (e, (lc, fc)) =>
       agg.onEvent(e)
       val s = agg.snapshot
-      assert(s.lastAgg.count == lc, s"e_l.count after ${e.etype}${e.time}")
+      assert(s.tip.fold(0.0)(_.agg.count) == lc, s"e_l.count after ${e.etype}${e.time}")
       assert(s.finalAgg.count == fc, s"final_count after ${e.etype}${e.time}")
     }
     assert(agg.result.count == 2.0) // two contiguous trends (Example 4)

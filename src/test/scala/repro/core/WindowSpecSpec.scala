@@ -44,6 +44,11 @@ class WindowSpecSpec extends AnyFunSuite {
     }
   }
 
+  test("negative timestamps are rejected, not silently dropped") {
+    val e = intercept[IllegalArgumentException](WindowSpec(10, 5).windowsOf(-3))
+    assert(e.getMessage.contains("-3"))
+  }
+
   test("invalid windows are rejected") {
     assertThrows[IllegalArgumentException](WindowSpec(0, 1))
     assertThrows[IllegalArgumentException](WindowSpec(5, 10))
