@@ -42,3 +42,68 @@ object Agg {
     else Agg(s.count, s.countE + s.count, s.sum + v * s.count,
              math.min(s.min, v), math.max(s.max, v))
 }
+
+/** A mutable [[Agg]] for the aggregators' per-event work: `add` is
+  * [[Agg.merge]] and `extend` is [[Agg.extend]], applied in place, so an
+  * event allocates nothing. Aggregates kept in arrays take [[AggBuf.Width]]
+  * consecutive doubles, in field order. */
+final class AggBuf {
+  var count, countE, sum: Double = 0
+  var min: Double = Double.PositiveInfinity
+  var max: Double = Double.NegativeInfinity
+
+  /** [[Agg.zero]], or [[Agg.startUnit]] if `start`. */
+  def reset(start: Boolean): Unit = {
+    count = if (start) 1 else 0; countE = 0; sum = 0
+    min = Double.PositiveInfinity; max = Double.NegativeInfinity
+  }
+  def clear(): Unit = reset(false)
+
+  /** this = merge(this, (c, ce, s, mn, mx)). */
+  def add(c: Double, ce: Double, s: Double, mn: Double, mx: Double): Unit =
+    if (c != 0) {
+      if (count == 0) { count = c; countE = ce; sum = s; min = mn; max = mx }
+      else { count += c; countE += ce; sum += s; min = math.min(min, mn); max = math.max(max, mx) }
+    }
+  def add(a: Array[Double], i: Int): Unit = add(a(i), a(i + 1), a(i + 2), a(i + 3), a(i + 4))
+  def add(b: AggBuf): Unit = add(b.count, b.countE, b.sum, b.min, b.max)
+  def set(a: Agg): Unit = { count = a.count; countE = a.countE; sum = a.sum; min = a.min; max = a.max }
+
+  /** this = extend(this, v, isTarget). */
+  def extend(v: Double, isTarget: Boolean): Unit =
+    if (count == 0) clear()
+    else if (isTarget) {
+      countE += count; sum += v * count
+      min = math.min(min, v); max = math.max(max, v)
+    }
+
+  /** a(i..) = merge(a(i..), this). */
+  def addTo(a: Array[Double], i: Int): Unit =
+    if (count != 0) {
+      if (a(i) == 0) store(a, i)
+      else {
+        a(i) += count; a(i + 1) += countE; a(i + 2) += sum
+        a(i + 3) = math.min(a(i + 3), min); a(i + 4) = math.max(a(i + 4), max)
+      }
+    }
+  def store(a: Array[Double], i: Int): Unit = {
+    a(i) = count; a(i + 1) = countE; a(i + 2) = sum; a(i + 3) = min; a(i + 4) = max
+  }
+  def toAgg: Agg = Agg(count, countE, sum, min, max)
+}
+
+object AggBuf {
+  val Width = 5
+
+  /** `n` aggregates, all [[Agg.zero]]. */
+  def zeros(n: Int): Array[Double] = {
+    val a = new Array[Double](n * Width)
+    var i = 0
+    while (i < n) { write(a, i * Width, Agg.zero); i += 1 }
+    a
+  }
+  def write(a: Array[Double], i: Int, x: Agg): Unit = {
+    a(i) = x.count; a(i + 1) = x.countE; a(i + 2) = x.sum; a(i + 3) = x.min; a(i + 4) = x.max
+  }
+  def read(a: Array[Double], i: Int): Agg = Agg(a(i), a(i + 1), a(i + 2), a(i + 3), a(i + 4))
+}

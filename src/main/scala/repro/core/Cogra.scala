@@ -16,7 +16,7 @@ object Cogra {
   /** Run over one time-ordered substream. */
   def run(events: Iterable[Ev], q: TrendQuery): Agg = {
     val a = aggregator(q)
-    events.foreach(a.onEvent)
+    a.onEvents(events)
     a.result
   }
 }

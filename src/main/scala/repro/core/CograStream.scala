@@ -36,7 +36,7 @@ object CograStream {
       .flatMapGroupsWithState[S, WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
         (key: (String, Long), it: Iterator[(Long, Ev)], state: GroupState[S]) =>
           val agg = aggregator(state.getOption)
-          Substreams.sorted(it).foreach(agg.onEvent)
+          agg.onEvents(Substreams.sorted(it))
           state.update(agg.snapshot)
           val r = agg.result
           Iterator.single(WinResult(key._1, key._2, r.count, r.countE, r.sum, r.min, r.max, r.avg))

@@ -16,7 +16,12 @@ final case class Ev(sid: Long, time: Long, etype: String, group: String, value: 
 
 object Ev {
   /** Total order within a substream: by time, ties by sequence id. */
-  implicit val ordering: Ordering[Ev] = Ordering.by(e => (e.time, e.sid))
+  implicit val ordering: Ordering[Ev] = new Ordering[Ev] {
+    def compare(a: Ev, b: Ev): Int = {
+      val c = java.lang.Long.compare(a.time, b.time)
+      if (c != 0) c else java.lang.Long.compare(a.sid, b.sid)
+    }
+  }
 
   /** Shorthand used by tests to transcribe streams like Figure 2. */
   def apply(time: Long, etype: String): Ev = Ev(time, time, etype, "g", time.toDouble)

@@ -1,72 +1,126 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Mixed-grained aggregator (paper §5, Algorithm 2, Theorem 5.1; Table 8
   * middle column): for ANY-semantics queries *with* adjacent-event
   * predicates. Types whose adjacency to a successor type is restricted by a
   * predicate (T_e) keep one aggregate per stored event; all other types
-  * (T_t) keep one aggregate per type. Time O(n·(t+n_e)), space Θ(t+n_e).
+  * (T_t) keep one aggregate per type. Space Θ(t+n_e).
+  *
+  * Runs on the query's [[Plan]]. The stored events of a T_e type with a
+  * successor pair whose predicates are all comparisons are also kept in a
+  * [[ValueIndex]], which merges that pair's adjacent predecessors in
+  * O(log n_e): time O(n·(t + log n_e)) for such queries, against the paper's
+  * O(n·(t+n_e)) scan, with the same results. A pair with any other predicate
+  * (`AdjPred.Sel`) scans the stored events; so does an event that does not
+  * come after every stored event in (time, sid) order, since only earlier
+  * events can be adjacent to it.
   */
 final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = None)
     extends TrendAggregator[MixedState] {
-  private val info = query.info
-  private val target = query.target
-  private val preds = query.adjPreds
+  import AggBuf.Width
+  private val plan = query.plan
 
   /** Compile-time split (Algorithm 2 lines 1–4). */
-  val eventGrained: Set[String] = PredicateClassifier.eventGrainedTypes(info, preds)
-  val typeGrained: Set[String] = info.typeSet -- eventGrained
+  val eventGrained: Set[String] = plan.eventGrainedTypes
+  val typeGrained: Set[String] = plan.typeGrainedTypes
+  private val typeSlots = typeGrained.size.toLong
 
-  private val slots = mutable.Map.empty[String, Agg]
-  typeGrained.foreach(t => slots(t) = Agg.zero)
-  private val stored = mutable.ArrayBuffer.empty[StoredEv]
-  private var finalAgg = Agg.zero // used when end(P) is event-grained (line 14)
+  private val slots = AggBuf.zeros(plan.n) // T_t types only
+  // the stored T_e events, column-wise in arrival order; aggregates at `j * Width`
+  private var stored = 0
+  private var sids = Array.emptyLongArray
+  private var times = Array.emptyLongArray
+  private var types = Array.emptyIntArray
+  private var values = Array.emptyDoubleArray
+  private var aggs = Array.emptyDoubleArray
+  private var lastTime, lastSid = Long.MinValue // the latest stored event
+  private val index = new Array[ValueIndex](plan.n)
+  private val acc = new AggBuf
+  private val finalAgg = new AggBuf // used when end(P) is event-grained (line 14)
   private var peak = 0L
 
   restore.foreach { s =>
-    s.typeAggs.foreach { case (t, a) => slots(t) = a }
-    stored ++= s.events
-    finalAgg = s.finalAgg
+    s.typeAggs.foreach { case (t, a) => AggBuf.write(slots, plan.id(t) * Width, a) }
+    s.events.foreach { p => acc.set(p.agg); store(p.sid, p.time, plan.id(p.etype), p.value) }
+    finalAgg.set(s.finalAgg)
     peak = liveUnits
   }
 
   def onEvent(e: Ev): Unit = {
-    val tpe = e.etype
-    if (!info.contains(tpe)) return
-    var s = if (info.isStart(tpe)) Agg.startUnit else Agg.zero
-    val predTs = info.preds(tpe)
-    // type-grained predecessors (line 8)
-    predTs.foreach(t => if (typeGrained(t)) s = Agg.merge(s, slots(t)))
+    val t = plan.id(e.etype)
+    if (t < 0) return
+    val v = e.value
+    acc.reset(t == plan.start)
+    val after = e.time > lastTime || (e.time == lastTime && e.sid > lastSid)
+    val ps = plan.preds(t)
+    var scan = false
+    var i = 0
+    while (i < ps.length) {
+      val p = ps(i)
+      if (!plan.eventGrained(p)) acc.add(slots, p * Width) // type-grained predecessors (line 8)
+      else if (after && plan.ranged(p, t)) { if (index(p) != null) index(p).query(plan.mask(p, t), v, acc) }
+      else scan = true
+      i += 1
+    }
     // event-grained predecessors: only stored events adjacent to e, i.e.
     // earlier and satisfying the predicates (lines 9–10)
-    if (predTs.exists(eventGrained)) {
-      val i = stored.iterator
-      while (i.hasNext) {
-        val p = i.next()
-        if (predTs(p.etype) && eventGrained(p.etype) &&
-            (p.time < e.time || (p.time == e.time && p.sid < e.sid)) &&
-            AdjPred.holds(preds, p.toEv, e))
-          s = Agg.merge(s, p.agg)
+    if (scan) {
+      var j = 0
+      while (j < stored) {
+        val p = types(j)
+        if (plan.follows(p, t) && !(after && plan.ranged(p, t)) &&
+            (times(j) < e.time || (times(j) == e.time && sids(j) < e.sid)) &&
+            plan.holds(p, t, values(j), v))
+          acc.add(aggs, j * Width)
+        j += 1
       }
     }
-    val eAgg = Agg.extend(s, e.value, tpe == target)
-    if (typeGrained(tpe)) {
-      slots(tpe) = Agg.merge(slots(tpe), eAgg) // lines 11–13
+    acc.extend(v, t == plan.target)
+    if (!plan.eventGrained(t)) {
+      acc.addTo(slots, t * Width) // lines 11–13
     } else {
       // store only events that end at least one trend — zero-count events
       // can never contribute to a successor (counts are immutable)
-      if (!eAgg.isZero) stored += StoredEv(e.sid, e.time, tpe, e.value, eAgg)
-      if (info.isEnd(tpe)) finalAgg = Agg.merge(finalAgg, eAgg) // line 14
+      if (acc.count != 0) store(e.sid, e.time, t, v)
+      if (t == plan.end) finalAgg.add(acc) // line 14
     }
     peak = math.max(peak, liveUnits)
   }
 
+  def onEvents(events: Iterable[Ev]): Unit = events match {
+    case es: IndexedSeq[Ev] => var i = 0; while (i < es.length) { onEvent(es(i)); i += 1 }
+    case _ => events.foreach(onEvent)
+  }
+
+  /** Store an event of T_e type t whose aggregate is `acc`. */
+  private def store(sid: Long, time: Long, t: Int, v: Double): Unit = {
+    if (stored == sids.length) {
+      val cap = math.max(8, 2 * stored)
+      sids = java.util.Arrays.copyOf(sids, cap)
+      times = java.util.Arrays.copyOf(times, cap)
+      types = java.util.Arrays.copyOf(types, cap)
+      values = java.util.Arrays.copyOf(values, cap)
+      aggs = java.util.Arrays.copyOf(aggs, cap * Width)
+    }
+    sids(stored) = sid; times(stored) = time; types(stored) = t; values(stored) = v
+    acc.store(aggs, stored * Width)
+    stored += 1
+    if (time > lastTime || (time == lastTime && sid > lastSid)) { lastTime = time; lastSid = sid }
+    if (plan.indexed(t)) {
+      if (index(t) == null) index(t) = new ValueIndex
+      index(t).insert(v, acc)
+    }
+  }
+
   /** Lines 15–16: end type's slot if type-grained, else the running final. */
   def result: Agg =
-    if (typeGrained(info.end)) slots(info.end) else finalAgg
+    if (plan.eventGrained(plan.end)) finalAgg.toAgg else AggBuf.read(slots, plan.end * Width)
 
-  def liveUnits: Long = typeGrained.size.toLong + stored.size + 1
+  def liveUnits: Long = typeSlots + stored + 1
   def peakUnits: Long = math.max(peak, liveUnits)
-  def snapshot: MixedState = MixedState(slots.toMap, stored.toVector, finalAgg)
+  def snapshot: MixedState = MixedState(
+    typeGrained.iterator.map(t => t -> AggBuf.read(slots, plan.id(t) * Width)).toMap,
+    Vector.tabulate(stored)(j =>
+      StoredEv(sids(j), times(j), plan.types(types(j)), values(j), AggBuf.read(aggs, j * Width))),
+    finalAgg.toAgg)
 }

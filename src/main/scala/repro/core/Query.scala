@@ -33,6 +33,8 @@ final case class TrendQuery(
     window: WindowSpec = WindowSpec(Long.MaxValue, Long.MaxValue)) extends Serializable {
 
   @transient lazy val info: PatternInfo = PatternAnalyzer.analyze(pattern)
+  /** The query compiled for the aggregators; built once per query object. */
+  @transient lazy val plan: Plan = new Plan(this)
   def target: String = targetType.getOrElse(info.end)
   require(targetType.forall(pattern.types.contains), s"target $targetType not in pattern")
 }

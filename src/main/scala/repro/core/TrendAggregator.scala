@@ -8,6 +8,9 @@ trait TrendAggregator[S <: AggState] {
   def query: TrendQuery
   /** Process one event and discard it (unless the granularity must store it). */
   def onEvent(e: Ev): Unit
+  /** Process events in order. Each aggregator has its own copy of this
+    * loop, so that the JIT sees one receiver and inlines `onEvent`. */
+  def onEvents(events: Iterable[Ev]): Unit
   /** Aggregate over all *finished* trends seen so far. */
   def result: Agg
   /** Memory proxy: aggregates + stored events currently retained. */

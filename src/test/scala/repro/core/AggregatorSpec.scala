@@ -91,6 +91,54 @@ class AggregatorSpec extends AnyFunSuite {
     }
   }
 
+  test("an unknown comparison operator is rejected when the predicate is built") {
+    assertThrows[IllegalArgumentException](AdjPred.Cmp("A", "A", "<>"))
+  }
+
+  test("comparison masks and their conjunctions evaluate like IEEE comparison") {
+    val ops: Map[String, (Double, Double) => Boolean] = Map(
+      "<" -> (_ < _), "<=" -> (_ <= _), ">" -> (_ > _), ">=" -> (_ >= _),
+      "=" -> (_ == _), "!=" -> (_ != _))
+    val vs = Seq(Double.NegativeInfinity, -1.0, -0.0, 0.0, 1.0, Double.PositiveInfinity, Double.NaN)
+    for ((o1, f1) <- ops; (o2, f2) <- ops; a <- vs; b <- vs) {
+      val c1 = AdjPred.Cmp("A", "A", o1)
+      assert(c1.test(a, b) == f1(a, b), s"$a $o1 $b")
+      assert(AdjPred.Cmp.test(c1.mask & AdjPred.Cmp("A", "A", o2).mask, a, b) == (f1(a, b) && f2(a, b)),
+        s"$a $o1 $b and $a $o2 $b")
+    }
+  }
+
+  test("type names are matched by value, not by reference, at every granularity") {
+    val r = new Random(5)
+    val evs = Vector.tabulate(60)(i => Ev(i + 1L, i + 1L,
+      Seq("A", "A", "B", "Z")(r.nextInt(4)), "g", r.nextInt(6).toDouble))
+    // as Spark deserializes them: equal, but not the interned literals
+    val copies = evs.map(e => e.copy(etype = new String(e.etype)))
+    assert(!(copies.head.etype eq evs.head.etype))
+    val lt = Seq(AdjPred.Cmp("A", "A", "<"))
+    for ((q, g) <- Seq(
+           TrendQuery.local(P, Semantics.ANY) -> Granularity.TypeG,
+           TrendQuery.local(P, Semantics.ANY, lt) -> Granularity.MixedG,
+           TrendQuery.local(P, Semantics.ANY, lt :+ AdjPred.Sel("B", "A", 0.5)) -> Granularity.MixedG,
+           TrendQuery.local(P, Semantics.NEXT, lt) -> Granularity.PatternG,
+           TrendQuery.local(P, Semantics.CONT) -> Granularity.PatternG)) {
+      assert(Granularity.select(q) == g)
+      val want = Cogra.run(evs, q)
+      assert(want.count > 0, s"$g")
+      assert(Cogra.run(copies, q) == want, s"$g")
+    }
+  }
+
+  test("mixed-grained: a stored event not earlier in (time, sid) order is no predecessor") {
+    // A+ with A<=A: every type is event-grained, as in GRETA, which checks
+    // the order per stored event; ties and a late event force that check
+    val q = TrendQuery.local(plus(tp("A")), Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<=")), Some("A"))
+    val evs = Vector(Ev(1, 1, "A", "g", 1.0), Ev(2, 2, "A", "g", 2.0), Ev(2, 2, "A", "g", 3.0),
+                     Ev(1, 0, "A", "g", 0.0), Ev(3, 3, "A", "g", 5.0), Ev(3, 3, "A", "g", 4.0))
+    val want = repro.baselines.Greta.run(evs, q, repro.baselines.Budget()).agg
+    assert(Cogra.run(evs, q) == want)
+  }
+
   test("empty stream yields zero aggregates at every granularity") {
     assert(new TypeGrained(TrendQuery.local(P, Semantics.ANY)).result == Agg.zero)
     assert(new MixedGrained(TrendQuery.local(P, Semantics.ANY,

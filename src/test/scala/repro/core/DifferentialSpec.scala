@@ -31,6 +31,29 @@ class DifferentialSpec extends AnyFunSuite {
       Ev(i + 1L, i + 1L, types(r.nextInt(types.size)), "g", r.nextInt(10).toDouble))
   }
 
+  /** A stream whose values tell the mixed granularity's value index from
+    * IEEE comparison: repeats, -0.0 next to 0.0, and NaN after values are
+    * stored, but not on type `target` (a NaN target value makes SUM, MIN
+    * and MAX NaN, which no equality can compare). */
+  private def edgeStream(n: Int, seed: Int, target: String): Vector[Ev] = {
+    val r = new Random(seed)
+    val types = Seq("A", "A", "A", "B", "B", "C", "X")
+    val values = Seq(1.0, -0.0, 2.0, 0.0, Double.NaN, 1.0, -0.0, Double.NaN, 0.0)
+    Vector.tabulate(n) { i =>
+      val t = types(r.nextInt(types.size))
+      val v = values(i % values.size)
+      Ev(i + 1L, i + 1L, t, "g", if (v.isNaN && t == target) 2.0 else v)
+    }
+  }
+
+  /** Predicate sets of the mixed-grained differential: first the original
+    * one on two T_e types, then each comparison and a conjunction on (A, A),
+    * whose adjacent predecessors the value index finds as value ranges. */
+  private val mixedPreds: Seq[(String, Seq[AdjPred])] =
+    ("" -> Seq(AdjPred.Cmp("A", "A", "<"), AdjPred.Cmp("B", "A", "<"))) +:
+      Seq("<", "<=", ">", ">=", "=", "!=").map(op => s" A${op}A" -> Seq(AdjPred.Cmp("A", "A", op))) :+
+      (" A>=A,A!=A" -> Seq(AdjPred.Cmp("A", "A", ">="), AdjPred.Cmp("A", "A", "!=")))
+
   private def assertAggEq(got: Agg, want: Agg, hint: String): Unit = {
     assert(got.count == want.count, s"$hint count")
     assert(got.countE == want.countE, s"$hint countE")
@@ -51,12 +74,12 @@ class DifferentialSpec extends AnyFunSuite {
       assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/$seed")
     }
 
-    test(s"ANY with predicates: mixed-grained == declarative [$pName seed=$seed]") {
-      val preds = Seq(AdjPred.Cmp("A", "A", "<"), AdjPred.Cmp("B", "A", "<"))
-      val q = TrendQuery.local(p, Semantics.ANY, preds, target)
-      assert(Granularity.select(q) == Granularity.MixedG)
-      assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/$seed")
-    }
+    for ((sName, preds) <- mixedPreds)
+      test(s"ANY with predicates: mixed-grained == declarative [$pName seed=$seed$sName]") {
+        val q = TrendQuery.local(p, Semantics.ANY, preds, target)
+        assert(Granularity.select(q) == Granularity.MixedG)
+        assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/$seed")
+      }
 
     test(s"NEXT: pattern-grained == two-step construction [$pName seed=$seed]") {
       val q = TrendQuery.local(p, Semantics.NEXT, Nil, target)
@@ -83,6 +106,15 @@ class DifferentialSpec extends AnyFunSuite {
     }
   }
 
+  // one edge-valued stream per predicate set, aggregating the end type
+  for ((pName, p) <- patterns; (sName, preds) <- mixedPreds)
+    test(s"ANY with predicates: mixed-grained == declarative [$pName edge values$sName]") {
+      val q = TrendQuery.local(p, Semantics.ANY, preds, Some(p.types.last))
+      val evs = edgeStream(16, 1, q.target)
+      assert(Granularity.select(q) == Granularity.MixedG)
+      assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/edge")
+    }
+
   // NEXT vs the declarative Definition 3 on workloads where Algorithm 3's
   // single-tip discipline provably coincides (see DESIGN.md fidelity note)
   for (seed <- 1 to 12)
@@ -106,15 +138,18 @@ class DifferentialSpec extends AnyFunSuite {
   }
 
   // snapshot/restore round-trips (the streaming driver's state contract)
-  for ((pName, p) <- patterns.take(4); seed <- 1 to 4;
+  // (seed 0 is an edge-valued stream; "ANY/mixed" is the A<A set)
+  for ((pName, p) <- patterns.take(4); seed <- 0 to 4;
        (semName, sem, preds) <- Seq(
          ("ANY/type", Semantics.ANY, Nil),
          ("ANY/mixed", Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<"))),
          ("NEXT/pattern", Semantics.NEXT, Nil),
-         ("CONT/pattern", Semantics.CONT, Nil)))
+         ("CONT/pattern", Semantics.CONT, Nil)) ++
+         mixedPreds.drop(2).map { case (sName, preds) => (s"ANY/mixed$sName", Semantics.ANY, preds) } :+
+         (("ANY/mixed A<A,B<A", Semantics.ANY, mixedPreds.head._2)))
     test(s"snapshot/restore mid-stream == single run [$pName $semName seed=$seed]") {
       val q = TrendQuery.local(p, sem, preds, Some("A"))
-      val evs = randomStream(12, seed)
+      val evs = if (seed == 0) edgeStream(12, 0, "A") else randomStream(12, seed)
       val (h1, h2) = evs.splitAt(6)
       val a1 = Cogra.aggregator(q)
       h1.foreach(a1.onEvent)
