@@ -9,14 +9,17 @@ import scala.collection.mutable
   */
 object BruteForce {
 
+  /** Enumeration aborts with [[BudgetExceeded]] beyond this many ANY trends. */
+  private val MaxTrends = 10_000_000L
+
   /** All trends under skip-till-any-match (Definition 2): subsequences of
     * the substream whose type word follows the pattern FSA from the start
     * type to the end type, with all applicable adjacent-event predicates
     * holding between consecutive trend events. */
-  def anyTrends(events: IndexedSeq[Ev], q: TrendQuery, maxTrends: Long = 10_000_000L): Vector[Vector[Ev]] = {
+  def anyTrends(events: IndexedSeq[Ev], q: TrendQuery): Vector[Vector[Ev]] = {
     var n = 0L
     anyTrendsWith(events, q) { (_, trend) =>
-      if (trend != null) { n += 1; if (n > maxTrends) throw new BudgetExceeded }
+      if (trend != null) { n += 1; if (n > MaxTrends) throw new BudgetExceeded }
     }
   }
 
@@ -53,8 +56,8 @@ object BruteForce {
   /** Trends under skip-till-next-match (Definition 3): ANY trends tr such
     * that no other ANY trend tr' shares tr's start and end events with
     * tr.mid ⊆ tr'.mid. */
-  def nextTrends(events: IndexedSeq[Ev], q: TrendQuery, maxTrends: Long = 10_000_000L): Vector[Vector[Ev]] = {
-    val any = anyTrends(events, q, maxTrends)
+  def nextTrends(events: IndexedSeq[Ev], q: TrendQuery): Vector[Vector[Ev]] = {
+    val any = anyTrends(events, q)
     val byStartEnd = any.groupBy(tr => (tr.head.sid, tr.last.sid))
     any.filter { tr =>
       val mid = tr.slice(1, tr.size - 1).map(_.sid).toSet
@@ -68,18 +71,18 @@ object BruteForce {
     * no substream event strictly between trend start and end that is not
     * part of the trend — i.e. gap-free in the substream. (Every gap-free
     * ANY trend is vacuously maximal-mid, hence also a NEXT trend.) */
-  def contTrends(events: IndexedSeq[Ev], q: TrendQuery, maxTrends: Long = 10_000_000L): Vector[Vector[Ev]] = {
+  def contTrends(events: IndexedSeq[Ev], q: TrendQuery): Vector[Vector[Ev]] = {
     val idx = events.iterator.zipWithIndex.map { case (e, i) => e.sid -> i }.toMap
-    anyTrends(events, q, maxTrends).filter { tr =>
+    anyTrends(events, q).filter { tr =>
       idx(tr.last.sid) - idx(tr.head.sid) == tr.size - 1
     }
   }
 
-  def trends(events: IndexedSeq[Ev], q: TrendQuery, maxTrends: Long = 10_000_000L): Vector[Vector[Ev]] =
+  def trends(events: IndexedSeq[Ev], q: TrendQuery): Vector[Vector[Ev]] =
     q.semantics match {
-      case Semantics.ANY  => anyTrends(events, q, maxTrends)
-      case Semantics.NEXT => nextTrends(events, q, maxTrends)
-      case Semantics.CONT => contTrends(events, q, maxTrends)
+      case Semantics.ANY  => anyTrends(events, q)
+      case Semantics.NEXT => nextTrends(events, q)
+      case Semantics.CONT => contTrends(events, q)
     }
 
   /** Aggregate a set of explicitly constructed trends (the two-step

@@ -61,7 +61,7 @@ object Engines {
     val online = true
     def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
       val a = Cogra.aggregator(q)
-      events.foreach(a.onEvent)
+      a.onEvents(events)
       RunResult(a.result, a.peakUnits, 0L, dnf = false)
     }
   }

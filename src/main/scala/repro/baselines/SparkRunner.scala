@@ -36,10 +36,8 @@ object SparkRunner {
     }
   }
 
-  /** Run and reduce to a workload summary (peak memory = max over
-    * concurrently processed substreams is approximated by the max
-    * per-substream peak times the parallelism-free sum for stored state;
-    * we report the sum, the quantity the paper's single-node peak reflects). */
+  /** Run and reduce to a workload summary. `peakUnits` is the sum of the
+    * per-substream peaks, as if every substream's state were held at once. */
   def summarize(spark: SparkSession, events: Dataset[Ev], q: TrendQuery,
                 engine: TrendEngine, budget: Budget): EngineSummary = {
     val rows = run(spark, events, q, engine, budget).collect()

@@ -14,7 +14,7 @@ object Cogra {
     }
 
   /** Run over one time-ordered substream. */
-  def run(events: Iterable[Ev], q: TrendQuery): Agg = {
+  def run(events: collection.IndexedSeq[Ev], q: TrendQuery): Agg = {
     val a = aggregator(q)
     a.onEvents(events)
     a.result

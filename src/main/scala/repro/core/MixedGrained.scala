@@ -37,13 +37,11 @@ final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = No
   private val index = new Array[ValueIndex](plan.n)
   private val acc = new AggBuf
   private val finalAgg = new AggBuf // used when end(P) is event-grained (line 14)
-  private var peak = 0L
 
   restore.foreach { s =>
     s.typeAggs.foreach { case (t, a) => AggBuf.write(slots, plan.id(t) * Width, a) }
     s.events.foreach { p => acc.set(p.agg); store(p.sid, p.time, plan.id(p.etype), p.value) }
     finalAgg.set(s.finalAgg)
-    peak = liveUnits
   }
 
   def onEvent(e: Ev): Unit = {
@@ -84,12 +82,11 @@ final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = No
       if (acc.count != 0) store(e.sid, e.time, t, v)
       if (t == plan.end) finalAgg.add(acc) // line 14
     }
-    peak = math.max(peak, liveUnits)
   }
 
-  def onEvents(events: Iterable[Ev]): Unit = events match {
-    case es: IndexedSeq[Ev] => var i = 0; while (i < es.length) { onEvent(es(i)); i += 1 }
-    case _ => events.foreach(onEvent)
+  def onEvents(events: collection.IndexedSeq[Ev]): Unit = {
+    var i = 0
+    while (i < events.length) { onEvent(events(i)); i += 1 }
   }
 
   /** Store an event of T_e type t whose aggregate is `acc`. */
@@ -117,7 +114,8 @@ final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = No
     if (plan.eventGrained(plan.end)) finalAgg.toAgg else AggBuf.read(slots, plan.end * Width)
 
   def liveUnits: Long = typeSlots + stored + 1
-  def peakUnits: Long = math.max(peak, liveUnits)
+  /** Events are stored and never dropped, so the peak is the current count. */
+  def peakUnits: Long = liveUnits
   def snapshot: MixedState = MixedState(
     typeGrained.iterator.map(t => t -> AggBuf.read(slots, plan.id(t) * Width)).toMap,
     Vector.tabulate(stored)(j =>

@@ -49,9 +49,9 @@ final class PatternGrained(val query: TrendQuery, restore: Option[PatternState] 
     // under NEXT, unmatched events are irrelevant and skipped
   }
 
-  def onEvents(events: Iterable[Ev]): Unit = events match {
-    case es: IndexedSeq[Ev] => var i = 0; while (i < es.length) { onEvent(es(i)); i += 1 }
-    case _ => events.foreach(onEvent)
+  def onEvents(events: collection.IndexedSeq[Ev]): Unit = {
+    var i = 0
+    while (i < events.length) { onEvent(events(i)); i += 1 }
   }
 
   def result: Agg = finalAgg.toAgg // line 10

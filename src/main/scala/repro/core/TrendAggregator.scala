@@ -10,7 +10,7 @@ trait TrendAggregator[S <: AggState] {
   def onEvent(e: Ev): Unit
   /** Process events in order. Each aggregator has its own copy of this
     * loop, so that the JIT sees one receiver and inlines `onEvent`. */
-  def onEvents(events: Iterable[Ev]): Unit
+  def onEvents(events: collection.IndexedSeq[Ev]): Unit
   /** Aggregate over all *finished* trends seen so far. */
   def result: Agg
   /** Memory proxy: aggregates + stored events currently retained. */

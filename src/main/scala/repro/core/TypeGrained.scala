@@ -31,9 +31,9 @@ final class TypeGrained(val query: TrendQuery, restore: Option[TypeState] = None
     acc.addTo(slots, t * Width)
   }
 
-  def onEvents(events: Iterable[Ev]): Unit = events match {
-    case es: IndexedSeq[Ev] => var i = 0; while (i < es.length) { onEvent(es(i)); i += 1 }
-    case _ => events.foreach(onEvent)
+  def onEvents(events: collection.IndexedSeq[Ev]): Unit = {
+    var i = 0
+    while (i < events.length) { onEvent(events(i)); i += 1 }
   }
 
   /** Final aggregate = end type's slot (line 9): only end-type events

@@ -47,19 +47,22 @@ object EventGen {
     withValue.select($"sid", $"time", $"etype", $"group", $"value").as[Ev]
   }
 
+  /** Share of irrelevant X reports in the activity stream. */
+  private val IrrelevantFrac = 0.1
+  /** Share of A events in the stock stream. */
+  private val FracA = 0.75
+
   /** Physical-activity monitoring substitute (paper [34]): 14 people,
     * heart-rate measurements M on a per-person random walk, with a fraction
     * of irrelevant reports X that break contiguity (q1-style CONT queries). */
-  def activity(spark: SparkSession, n: Long, nPersons: Int = 14, seed: Long = 11,
-               irrelevantFrac: Double = 0.1): Dataset[Ev] =
-    stream(spark, n, nPersons, Seq("M" -> (1 - irrelevantFrac), "X" -> irrelevantFrac),
+  def activity(spark: SparkSession, n: Long, nPersons: Int = 14, seed: Long = 11): Dataset[Ev] =
+    stream(spark, n, nPersons, Seq("M" -> (1 - IrrelevantFrac), "X" -> IrrelevantFrac),
            seed, walkValues = true)
 
   /** Stock-transaction substitute (paper [3]): 19 companies, prices on a
     * per-company random walk; types A/B for q3-style SEQ(A+, B) queries. */
-  def stock(spark: SparkSession, n: Long, nCompanies: Int = 19, seed: Long = 13,
-            fracA: Double = 0.75): Dataset[Ev] =
-    stream(spark, n, nCompanies, Seq("A" -> fracA, "B" -> (1 - fracA)),
+  def stock(spark: SparkSession, n: Long, nCompanies: Int = 19, seed: Long = 13): Dataset[Ev] =
+    stream(spark, n, nCompanies, Seq("A" -> FracA, "B" -> (1 - FracA)),
            seed, walkValues = true)
 
   /** Public-transportation substitute (paper's own synthetic generator):
