@@ -7,13 +7,7 @@ import org.scalatest.funsuite.AnyFunSuite
 class Table9ExpressivePowerBench extends AnyFunSuite {
 
   test("table9: expressive power matrix") {
-    def m(b: Boolean) = if (b) "+" else "-"
-    println("| Approach | Kleene | ANY | NEXT | CONT | adj. predicates | online |")
-    println("|---|---|---|---|---|---|---|")
-    Experiments.table9.foreach { r =>
-      println(s"| ${r.engine} | ${m(r.kleene)} | ${m(r.any)} | ${m(r.next)} " +
-        s"| ${m(r.cont)} | ${m(r.adjPreds)} | ${m(r.online)} |")
-    }
+    println(Experiments.table9Markdown)
     val rows = Experiments.table9.map(r => r.engine -> r).toMap
     assert(rows("Flink").productIterator.toSeq ==
       Seq("Flink", false, true, false, true, true, false))

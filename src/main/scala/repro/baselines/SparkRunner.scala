@@ -12,13 +12,6 @@ final case class EngineWinResult(engine: String, group: String, wid: Long,
                                  peakUnits: Long, trends: Long, dnf: Boolean,
                                  computeMs: Double)
 
-/** Workload-level summary used by the benchmarks. */
-final case class EngineSummary(engine: String, windows: Long, dnfWindows: Long,
-                               totalCount: Double, peakUnits: Long, trends: Long,
-                               computeMs: Double) {
-  def dnf: Boolean = dnfWindows > 0
-}
-
 /** Runs any [[TrendEngine]] over a windowed, grouped event stream on Spark —
   * the common experimental harness of §9: identical partitioning for every
   * engine, so measured differences come from the aggregation strategy. */
@@ -34,20 +27,5 @@ object SparkRunner {
       EngineWinResult(engine.name, g, wid, r.agg.count, r.agg.countE, r.agg.sum,
         r.agg.min, r.agg.max, r.peakUnits, r.trends, r.dnf, ms)
     }
-  }
-
-  /** Run and reduce to a workload summary. `peakUnits` is the sum of the
-    * per-substream peaks, as if every substream's state were held at once. */
-  def summarize(spark: SparkSession, events: Dataset[Ev], q: TrendQuery,
-                engine: TrendEngine, budget: Budget): EngineSummary = {
-    val rows = run(spark, events, q, engine, budget).collect()
-    EngineSummary(
-      engine = engine.name,
-      windows = rows.length.toLong,
-      dnfWindows = rows.count(_.dnf).toLong,
-      totalCount = rows.iterator.filterNot(_.dnf).map(_.count).sum,
-      peakUnits = rows.iterator.map(_.peakUnits).sum,
-      trends = rows.iterator.map(_.trends).sum,
-      computeMs = rows.iterator.map(_.computeMs).sum)
   }
 }

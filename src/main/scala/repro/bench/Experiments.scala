@@ -14,8 +14,9 @@ final case class ExpRow(fig: String, engine: String, x: String,
                         totalCount: Double, dnf: Boolean)
 
 /** Reproduction harness for the paper's evaluation (§9, Figures 5–10 and
-  * Table 9). Each `figN` method regenerates one experiment's numbers; the
-  * per-figure bench suites and jobs/ entrypoints are thin wrappers.
+  * Table 9). Each `figN` method regenerates one experiment's numbers and
+  * `table9Markdown` renders the Table 9 matrix; the per-exhibit bench suites
+  * and `jobs/Exhibit` are thin wrappers.
   *
   * Scale points are ~1000x below the paper's (see DESIGN.md §5): the
   * two-step baselines are exponential and hit their "does not terminate"
@@ -25,17 +26,23 @@ final case class ExpRow(fig: String, engine: String, x: String,
   */
 object Experiments {
 
-  /** Measure one engine on one workload. Events must already be cached. */
+  /** Measure one engine on one workload. Events must already be cached.
+    * The row is DNF if any window is; its count sums the finished windows.
+    * `memUnits` is the sum of the per-substream peaks, as if every
+    * substream's state were held at once. */
   def measure(spark: SparkSession, fig: String, x: String, events: Dataset[Ev],
               nEvents: Long, q: TrendQuery, engine: TrendEngine, budget: Budget): ExpRow = {
     val t0 = System.nanoTime()
-    val s = SparkRunner.summarize(spark, events, q, engine, budget)
+    val wins = SparkRunner.run(spark, events, q, engine, budget).collect()
     val wallMs = (System.nanoTime() - t0) / 1e6
-    ExpRow(fig, engine.name, x, nEvents, s.windows, wallMs, s.computeMs,
-      latencyMsPerWin = if (s.windows == 0) 0 else s.computeMs / s.windows,
+    val computeMs = wins.iterator.map(_.computeMs).sum
+    ExpRow(fig, engine.name, x, nEvents, wins.length.toLong, wallMs, computeMs,
+      latencyMsPerWin = if (wins.isEmpty) 0 else computeMs / wins.length,
       throughputEvS = nEvents / math.max(1e-9, wallMs / 1000.0),
-      memUnits = s.peakUnits, trends = s.trends,
-      totalCount = s.totalCount, dnf = s.dnf)
+      memUnits = wins.iterator.map(_.peakUnits).sum,
+      trends = wins.iterator.map(_.trends).sum,
+      totalCount = wins.iterator.filterNot(_.dnf).map(_.count).sum,
+      dnf = wins.exists(_.dnf))
   }
 
   /** Run `engines` over increasing scales; skip an engine after its first
@@ -144,6 +151,17 @@ object Experiments {
         e.supportsSemantics(Semantics.ANY), e.supportsSemantics(Semantics.NEXT),
         e.supportsSemantics(Semantics.CONT), e.supportsAdjPreds, e.online)
     }
+
+  /** Table 9 as the paper's matrix, "+" for a supported feature. */
+  def table9Markdown: String = {
+    def m(b: Boolean) = if (b) "+" else "-"
+    ("| Approach | Kleene | ANY | NEXT | CONT | adj. predicates | online |" +:
+     "|---|---|---|---|---|---|---|" +:
+     table9.map { r =>
+       s"| ${r.engine} | ${m(r.kleene)} | ${m(r.any)} | ${m(r.next)} " +
+       s"| ${m(r.cont)} | ${m(r.adjPreds)} | ${m(r.online)} |"
+     }).mkString("\n")
+  }
 
   /** Assert that all engines that terminated agree on COUNT(*) at every
     * scale point. ANY-semantics counts reach 1e100+ where different

@@ -2,7 +2,7 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 
-/** Shared bootstrap for the spark-submit entrypoints in jobs/. */
+/** The one SparkSession bootstrap, for `jobs/Exhibit` and the test suites. */
 object JobSupport {
   def session(app: String): SparkSession =
     SparkSession.builder()
@@ -11,14 +11,4 @@ object JobSupport {
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-
-  /** Parse "100,200,400" into scale points, with a default. */
-  def longs(args: Array[String], default: Seq[Long]): Seq[Long] =
-    if (args.isEmpty) default else args(0).split(",").toSeq.map(_.trim.toLong)
-
-  def ints(args: Array[String], default: Seq[Int]): Seq[Int] =
-    if (args.isEmpty) default else args(0).split(",").toSeq.map(_.trim.toInt)
-
-  def doubles(args: Array[String], default: Seq[Double]): Seq[Double] =
-    if (args.isEmpty) default else args(0).split(",").toSeq.map(_.trim.toDouble)
 }

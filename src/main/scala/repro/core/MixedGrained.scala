@@ -114,8 +114,6 @@ final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = No
     if (plan.eventGrained(plan.end)) finalAgg.toAgg else AggBuf.read(slots, plan.end * Width)
 
   def liveUnits: Long = typeSlots + stored + 1
-  /** Events are stored and never dropped, so the peak is the current count. */
-  def peakUnits: Long = liveUnits
   def snapshot: MixedState = MixedState(
     typeGrained.iterator.map(t => t -> AggBuf.read(slots, plan.id(t) * Width)).toMap,
     Vector.tabulate(stored)(j =>

@@ -56,7 +56,6 @@ final class PatternGrained(val query: TrendQuery, restore: Option[PatternState] 
 
   def result: Agg = finalAgg.toAgg // line 10
   def liveUnits: Long = 2L   // final aggregate + last event's aggregate
-  def peakUnits: Long = 2L
   def snapshot: PatternState = PatternState(
     Option(lastEv).map(e => StoredEv(e.sid, e.time, e.etype, e.value, tip.toAgg)), result)
 }

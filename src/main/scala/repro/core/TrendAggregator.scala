@@ -15,8 +15,10 @@ trait TrendAggregator[S <: AggState] {
   def result: Agg
   /** Memory proxy: aggregates + stored events currently retained. */
   def liveUnits: Long
-  /** Peak of liveUnits over the run. */
-  def peakUnits: Long
+  /** Peak of liveUnits over the run. No aggregator drops state (type and
+    * pattern granularity hold a fixed number of aggregates, mixed granularity
+    * stores events and never drops them), so the peak is the current count. */
+  final def peakUnits: Long = liveUnits
   /** Serializable state for the streaming driver. */
   def snapshot: S
 }

@@ -40,7 +40,6 @@ final class TypeGrained(val query: TrendQuery, restore: Option[TypeState] = None
     * finish trends. */
   def result: Agg = AggBuf.read(slots, plan.end * Width)
   def liveUnits: Long = plan.n.toLong
-  def peakUnits: Long = liveUnits
   def snapshot: TypeState =
     TypeState(plan.types.indices.map(t => plan.types(t) -> AggBuf.read(slots, t * Width)).toMap)
 }
