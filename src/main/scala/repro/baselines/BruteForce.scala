@@ -5,7 +5,8 @@ import scala.collection.mutable
 
 /** Declarative reference implementation of the paper's Definitions 2–4:
   * enumerates the exact trend sets and aggregates them directly. Exponential
-  * — used only as the correctness oracle on small substreams.
+  * — used only as the correctness oracle on small substreams. The two-step
+  * engines share only its per-trend aggregate ([[trendAgg]], [[aggregate]]).
   */
 object BruteForce {
 
@@ -17,26 +18,15 @@ object BruteForce {
     * type to the end type, with all applicable adjacent-event predicates
     * holding between consecutive trend events. */
   def anyTrends(events: IndexedSeq[Ev], q: TrendQuery): Vector[Vector[Ev]] = {
-    var n = 0L
-    anyTrendsWith(events, q) { (_, trend) =>
-      if (trend != null) { n += 1; if (n > MaxTrends) throw new BudgetExceeded }
-    }
-  }
-
-  /** The DFS behind [[anyTrends]]. `budget(steps, trend)` runs on every DFS
-    * step, with the trend that step completed (null if none), and throws
-    * [[BudgetExceeded]] to abort the enumeration. */
-  def anyTrendsWith(events: IndexedSeq[Ev], q: TrendQuery)(budget: (Long, Vector[Ev]) => Unit): Vector[Vector[Ev]] = {
     val info = q.info
     val out = mutable.ArrayBuffer.empty[Vector[Ev]]
     val cur = mutable.ArrayBuffer.empty[Ev]
-    var steps = 0L
     def dfs(fromIdx: Int): Unit = {
-      steps += 1
       val last = cur.last
-      val trend = if (info.isEnd(last.etype)) cur.toVector else null
-      if (trend != null) out += trend
-      budget(steps, trend)
+      if (info.isEnd(last.etype)) {
+        out += cur.toVector
+        if (out.size > MaxTrends) throw new BudgetExceeded
+      }
       var j = fromIdx
       while (j < events.size) {
         val e = events(j)

@@ -67,6 +67,4 @@ object Engines {
   }
 
   def all: Seq[TrendEngine] = Seq(FlinkLike, Sase, Greta, ASeq, CograEngine)
-  def byName(n: String): TrendEngine = all.find(_.name == n).getOrElse(
-    throw new IllegalArgumentException(s"unknown engine $n"))
 }

@@ -23,59 +23,26 @@ object FlinkLike extends TrendEngine {
     try {
       // Step 1: construct and store all matches (equivalently, run every
       // flattened fixed-length sequence query; the union of their result
-      // sets is exactly the trend set).
-      val stored = q.semantics match {
+      // sets is exactly the trend set). SASE's constructions build them.
+      val stored = mutable.ArrayBuffer.empty[Vector[Ev]]
+      var unitsStored = 0L
+      def store(trend: Vector[Ev]): Unit = {
+        stored += trend
+        unitsStored += trend.size
+        if (stored.size > budget.maxTrends || unitsStored > budget.maxUnits)
+          throw new BudgetExceeded
+      }
+      q.semantics match {
         case Semantics.ANY  =>
-          val deadline = budget.deadline
-          var trends = 0L
-          var unitsStored = 0L
-          BruteForce.anyTrendsWith(events, q) { (steps, trend) =>
-            if ((steps & 0xFFFF) == 0 && System.currentTimeMillis() > deadline)
-              throw new BudgetExceeded
-            if (trend != null) {
-              trends += 1
-              unitsStored += trend.size
-              if (trends > budget.maxTrends || unitsStored > budget.maxUnits ||
-                  System.currentTimeMillis() > deadline) throw new BudgetExceeded
-            }
+          Sase.constructAny(events, q, budget.deadline)(tr => store(tr.reverseIterator.toVector))
+        case Semantics.CONT =>
+          Sase.constructNextCont(events, q, budget.deadline) { (partials, finished) =>
+            if (finished) partials.foreach(store)
           }
-        case Semantics.CONT => collectCont(events, q, budget)
         case Semantics.NEXT => throw new IllegalArgumentException("Flink does not support NEXT")
       }
-      val units = stored.iterator.map(_.size.toLong).sum + events.size
       // Step 2: aggregate the stored matches.
-      val acc = BruteForce.aggregate(stored, q.target)
-      RunResult(acc, units, stored.size.toLong, dnf = false)
+      RunResult(BruteForce.aggregate(stored, q.target), unitsStored + events.size,
+        stored.size.toLong, dnf = false)
     } catch { case _: BudgetExceeded => RunResult.DNF }
-
-  /** Contiguous matches never branch: from each start-type event, walk the
-    * following substream events while the FSA permits, recording a match at
-    * every end-type prefix. */
-  private def collectCont(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): Vector[Vector[Ev]] = {
-    val deadline = budget.deadline
-    val info = q.info
-    val out = mutable.ArrayBuffer.empty[Vector[Ev]]
-    var unitsStored = 0L
-    for (i <- events.indices if events(i).etype == info.start) {
-      val cur = mutable.ArrayBuffer(events(i))
-      if (info.isEnd(events(i).etype)) { out += cur.toVector; unitsStored += 1 }
-      var j = i + 1
-      var ok = true
-      while (ok && j < events.size) {
-        val e = events(j)
-        if (info.contains(e.etype) && info.preds(e.etype).contains(cur.last.etype) &&
-            AdjPred.holds(q.adjPreds, cur.last, e)) {
-          cur += e
-          if (info.isEnd(e.etype)) {
-            out += cur.toVector
-            unitsStored += cur.size
-            if (unitsStored > budget.maxUnits || System.currentTimeMillis() > deadline)
-              throw new BudgetExceeded
-          }
-          j += 1
-        } else ok = false
-      }
-    }
-    out.toVector
-  }
 }

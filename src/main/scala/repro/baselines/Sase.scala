@@ -12,6 +12,11 @@ import scala.collection.mutable
   * semantics as the paper's Algorithm 3 (see DESIGN.md), so SASE and Cogra
   * return identical aggregates — the paper's correctness criterion that the
   * online approach matches the two-step approach.
+  *
+  * The two constructions, [[constructAny]] and [[constructNextCont]], are the
+  * only trend constructors of the two-step engines: Flink stores what they
+  * build, SASE aggregates it. Both abort with [[BudgetExceeded]] past the
+  * deadline; every other budget rule is the visiting engine's.
   */
 object Sase extends TrendEngine {
   val name = "SASE"
@@ -28,37 +33,64 @@ object Sase extends TrendEngine {
       }
     } catch { case _: BudgetExceeded => RunResult.DNF }
 
-  /** Two-step ANY: per-type stacks, one pointer per (event, predecessor
-    * stack) marking the latest earlier entry; the DFS scans down each
-    * pointed stack to construct every trend. Linear memory, exponential
-    * construction time — SASE's profile. */
+  /** Two-step ANY: linear memory (the stacks), exponential construction
+    * time — SASE's profile. */
   private def runAny(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
     val info = q.info
-    val deadline = budget.deadline
+    // events kept in stacks, plus one pointer per predecessor stack
+    val units = events.iterator.filter(e => info.contains(e.etype))
+      .map(e => 1L + info.preds(e.etype).size).sum
+    if (units > budget.maxUnits) throw new BudgetExceeded
+    var trendCount = 0L
+    var acc = Agg.zero
+    constructAny(events, q, budget.deadline) { trend =>
+      trendCount += 1
+      if (trendCount > budget.maxTrends) throw new BudgetExceeded
+      acc = Agg.merge(acc, BruteForce.trendAgg(trend, q.target))
+    }
+    RunResult(acc, units + info.types.size, trendCount, dnf = false)
+  }
+
+  /** Two-step NEXT/CONT: finished trends are aggregated batch by batch, when
+    * the tip is of the end type; the memory proxy is the peak size of the
+    * partial-trend set. */
+  private def runNextCont(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
+    var trendCount = 0L
+    var acc = Agg.zero
+    var peak = 0L
+    constructNextCont(events, q, budget.deadline) { (partials, finished) =>
+      val units = partials.iterator.map(_.size.toLong).sum
+      peak = math.max(peak, units)
+      if (units > budget.maxUnits) throw new BudgetExceeded
+      if (finished) {
+        trendCount += partials.size
+        if (trendCount > budget.maxTrends) throw new BudgetExceeded
+        acc = Agg.merge(acc, BruteForce.aggregate(partials, q.target))
+      }
+    }
+    RunResult(acc, peak, trendCount, dnf = false)
+  }
+
+  /** ANY construction: per-type stacks, one pointer per (event, predecessor
+    * stack) marking the latest earlier entry; a DFS from each end-type event
+    * scans down each pointed stack. `visit` gets every trend, end event
+    * first, in a buffer that is reused: copy it to keep it. */
+  private[baselines] def constructAny(events: IndexedSeq[Ev], q: TrendQuery, deadline: Long)
+                                     (visit: collection.Seq[Ev] => Unit): Unit = {
+    val info = q.info
     val relevant = events.filter(e => info.contains(e.etype))
     val byType = mutable.Map.empty[String, mutable.ArrayBuffer[Int]]
     info.types.foreach(t => byType(t) = mutable.ArrayBuffer.empty[Int])
     // pointers(i): for each predecessor type of event i's type, how many
     // events of that type precede i (= stack position to scan down from)
     val pointers = Array.ofDim[Map[String, Int]](relevant.size)
-    var units = relevant.size.toLong // events kept in stacks
     for (i <- relevant.indices) {
       val e = relevant(i)
       pointers(i) = info.preds(e.etype).iterator.map(pt => pt -> byType(pt).size).toMap
-      units += pointers(i).size
-      if (units > budget.maxUnits) throw new BudgetExceeded
       byType(e.etype) += i
     }
     // Step 2: DFS constructs each trend (pointers run backwards in time).
-    var trendCount = 0L
-    var acc = Agg.zero
     val cur = mutable.ArrayBuffer.empty[Ev] // reversed trend under construction
-    def emit(): Unit = {
-      trendCount += 1
-      if (trendCount > budget.maxTrends || System.currentTimeMillis() > deadline)
-        throw new BudgetExceeded
-      acc = Agg.merge(acc, BruteForce.trendAgg(cur, q.target))
-    }
     var steps = 0L
     def dfs(i: Int): Unit = {
       steps += 1
@@ -66,7 +98,10 @@ object Sase extends TrendEngine {
         throw new BudgetExceeded
       val e = relevant(i)
       cur += e
-      if (info.isStart(e.etype)) emit() // trend complete (built end -> start)
+      if (info.isStart(e.etype)) { // trend complete (built end -> start)
+        if (System.currentTimeMillis() > deadline) throw new BudgetExceeded
+        visit(cur)
+      }
       for ((pt, top) <- pointers(i); k <- (top - 1) to 0 by -1) {
         val j = byType(pt)(k)
         if (AdjPred.holds(q.adjPreds, relevant(j), e)) dfs(j)
@@ -74,22 +109,18 @@ object Sase extends TrendEngine {
       cur.remove(cur.size - 1)
     }
     for (i <- relevant.indices if info.isEnd(relevant(i).etype)) dfs(i)
-    RunResult(acc, units + info.types.size, trendCount, dnf = false)
   }
 
-  /** Two-step NEXT/CONT: maintains the set of partial trends, all ending at
-    * the single current tip; finished trends are aggregated when the tip is
-    * of the end type. */
-  private def runNextCont(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
+  /** NEXT/CONT construction: the set of partial trends, all ending at the
+    * single current tip. After each event that starts or extends partial
+    * trends, `visit(partials, finished)` gets the whole set; `finished` says
+    * the tip is of the end type, so every partial is a finished trend. */
+  private[baselines] def constructNextCont(events: IndexedSeq[Ev], q: TrendQuery, deadline: Long)
+                                          (visit: (Vector[Vector[Ev]], Boolean) => Unit): Unit = {
     val info = q.info
     val cont = q.semantics == Semantics.CONT
-    val deadline = budget.deadline
     var partials = Vector.empty[Vector[Ev]]
     var tip: Ev = null
-    var trendCount = 0L
-    var acc = Agg.zero
-    var units = 0L
-    var peak = 0L
     for (e <- events) {
       if (System.currentTimeMillis() > deadline) throw new BudgetExceeded
       val tpe = e.etype
@@ -101,19 +132,11 @@ object Sase extends TrendEngine {
         val extended = if (isAdj) partials.map(_ :+ e) else Vector.empty
         val started = if (isStart) Vector(Vector(e)) else Vector.empty
         partials = extended ++ started
-        units = partials.iterator.map(_.size.toLong).sum
-        peak = math.max(peak, units)
-        if (units > budget.maxUnits) throw new BudgetExceeded
-        if (info.isEnd(tpe)) {
-          trendCount += partials.size
-          if (trendCount > budget.maxTrends) throw new BudgetExceeded
-          acc = Agg.merge(acc, BruteForce.aggregate(partials, q.target))
-        }
+        visit(partials, info.isEnd(tpe))
         tip = e
       } else if (cont) {
         partials = Vector.empty; tip = null
       }
     }
-    RunResult(acc, peak, trendCount, dnf = false)
   }
 }

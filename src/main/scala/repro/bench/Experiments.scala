@@ -1,6 +1,7 @@
 package repro.bench
 
 import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.core._
 import repro.baselines._
 import repro.streams.EventGen
@@ -46,7 +47,8 @@ object Experiments {
   }
 
   /** Run `engines` over increasing scales; skip an engine after its first
-    * DNF (emitting DNF rows), since the budgets are monotone in scale. */
+    * DNF (emitting DNF rows), since the budgets are monotone in scale. Each
+    * distinct dataset is cached and counted once, when first measured. */
   private def sweep(spark: SparkSession, fig: String,
                     points: Seq[(String, Dataset[Ev], Long, TrendQuery)],
                     engines: Seq[TrendEngine],
@@ -56,7 +58,7 @@ object Experiments {
       if (dead(e.name)) {
         ExpRow(fig, e.name, x, n, 0, 0, 0, 0, 0, 0, 0, 0, dnf = true)
       } else {
-        ds.persist(); ds.count()
+        if (ds.storageLevel == StorageLevel.NONE) { ds.persist(); ds.count() }
         val r = measure(spark, fig, x, ds, n, q, e, budgetOf(e))
         if (r.dnf) dead += e.name
         r

@@ -27,6 +27,10 @@ class EnginesSpec extends AnyFunSuite {
     assert(got.max == want.max, s"$hint max")
   }
 
+  /** Flink's and SASE's constructions, with and without an adjacency
+    * predicate (Fig. 9 runs Flink under ANY with one, Fig. 5 under CONT). */
+  private val adjPredInputs: Seq[Seq[AdjPred]] = Seq(Nil, Seq(AdjPred.Cmp("A", "A", "<")))
+
   private val patterns: Seq[(String, Pattern)] = Seq(
     "A+"           -> plus(tp("A")),
     "SEQ(A+,B)"    -> seq(plus(tp("A")), tp("B")),
@@ -45,20 +49,34 @@ class EnginesSpec extends AnyFunSuite {
 
     test(s"SASE == declarative under ANY with predicates [$pName seed=$seed]") {
       val q = TrendQuery.local(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"))
-      assertAggEq(Sase.run(evs, q, budget).agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
+      val r = Sase.run(evs, q, budget)
+      assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
+      assert(r.trends == BruteForce.anyTrends(evs, q).size)
     }
 
     test(s"Flink (two-step, stores trends) == declarative under ANY [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Nil, Some("A"))
-      val r = FlinkLike.run(evs, q, budget)
-      assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
-      // Flink's memory proxy counts every stored trend element
-      assert(r.peakUnits >= BruteForce.anyTrends(evs, q).map(_.size.toLong).sum)
+      for (preds <- adjPredInputs) {
+        val q = TrendQuery.local(p, Semantics.ANY, preds, Some("A"))
+        val r = FlinkLike.run(evs, q, budget)
+        val trends = BruteForce.anyTrends(evs, q)
+        assert(!r.dnf)
+        assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed/$preds")
+        assert(r.trends == trends.size)
+        // Flink's memory proxy counts every stored trend element
+        assert(r.peakUnits >= trends.map(_.size.toLong).sum)
+      }
     }
 
     test(s"Flink == declarative under CONT [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.CONT, Nil, Some("A"))
-      assertAggEq(FlinkLike.run(evs, q, budget).agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
+      for (preds <- adjPredInputs) {
+        val q = TrendQuery.local(p, Semantics.CONT, preds, Some("A"))
+        val r = FlinkLike.run(evs, q, budget)
+        val trends = BruteForce.contTrends(evs, q).size
+        assert(!r.dnf)
+        assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed/$preds")
+        assert(r.trends == trends)
+        assert(Sase.run(evs, q, budget).trends == trends)
+      }
     }
 
     test(s"A-Seq (flattened prefix counters) == declarative under ANY [$pName seed=$seed]") {
