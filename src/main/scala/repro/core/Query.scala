@@ -5,14 +5,24 @@ package repro.core
 final case class WindowSpec(size: Long, slide: Long) extends Serializable {
   require(size > 0 && slide > 0 && slide <= size, s"bad window: size=$size slide=$slide")
 
-  /** All window start ids an event at time `t` falls into; `t` must be
+  /** The earliest window start id covering time `t`; `t` must be
     * non-negative. */
-  def windowsOf(t: Long): Seq[Long] = {
+  def firstWindow(t: Long): Long = {
     require(t >= 0, s"negative event timestamp: $t")
-    val hi = math.floorDiv(t, slide)                 // latest window starting at or before t
-    val lo = math.floorDiv(t - size, slide) + 1      // earliest window still covering t
-    (math.max(0L, lo) to hi).map(_ * slide)
+    math.max(0L, math.floorDiv(t - size, slide) + 1) * slide
   }
+
+  /** The latest window start id covering time `t` (the last one starting at
+    * or before `t`); `t` must be non-negative. */
+  def lastWindow(t: Long): Long = {
+    require(t >= 0, s"negative event timestamp: $t")
+    math.floorDiv(t, slide) * slide
+  }
+
+  /** All window start ids an event at time `t` falls into, from
+    * `firstWindow(t)` to `lastWindow(t)`. */
+  def windowsOf(t: Long): Seq[Long] =
+    (firstWindow(t) / slide to lastWindow(t) / slide).map(_ * slide)
 }
 
 /** Event trend aggregation query (paper Definition 6).

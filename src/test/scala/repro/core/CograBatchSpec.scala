@@ -121,6 +121,39 @@ class CograBatchSpec extends SparkSpec {
     assert(got.filter(_._2 > 0) == want.filter(_._2 > 0).toMap)
   }
 
+  test("CograBatch equals per-window Cogra.run on all five fields, every granularity") {
+    val ds = EventGen.stock(spark, 400, 4, seed = 31).cache(); ds.count()
+    val events = ds.collect()
+    val win = WindowSpec(25, 10)
+    val queries = Seq(
+      TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"), win),
+      TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"), win),
+      TrendQuery(plus(tp("A")), Semantics.NEXT, Seq(AdjPred.Cmp("A", "A", ">")), Some("A"), win),
+      TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.CONT, Nil, None, win))
+    assert(queries.map(Granularity.select).toSet.size == 3)
+    for (q <- queries) {
+      val got = CograBatch.run(spark, ds, q).collect()
+        .map(r => (r.group, r.wid) -> (r.count, r.countE, r.sum, r.min, r.max)).toMap
+      val want = events
+        .flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
+        .groupBy(_._1).map { case (k, evs) =>
+          val a = Cogra.run(evs.map(_._2).sortBy(e => (e.time, e.sid)), q)
+          k -> (a.count, a.countE, a.sum, a.min, a.max)
+        }
+      assert(got.values.exists(_._1 > 0), s"$q")
+      assert(got == want, s"$q")
+    }
+    ds.unpersist()
+  }
+
+  test("an event with a negative timestamp fails the batch run, not silently dropped") {
+    val ds = Seq(Ev(1, 3, "A", "g", 1), Ev(2, -4, "A", "g", 2), Ev(3, 5, "B", "g", 3)).toDS()
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, None, WindowSpec(10, 5))
+    val e = intercept[Exception](CograBatch.run(spark, ds, q).collect())
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains("-4")), causes)
+  }
+
   test("SparkRunner: every engine supporting ANY SEQ(A+,B) returns CograBatch's results") {
     // two groups, sliding windows, and two events of a group per timestamp
     val r = new scala.util.Random(3)

@@ -1,0 +1,97 @@
+package repro.core
+
+import repro.SparkSpec
+import scala.util.Random
+
+/** Differential test of the batch substreams: `Substreams.map` must yield
+  * exactly the driver-side reference, each event exploded into
+  * `windowsOf(time)` and each (group, window) stably sorted by (time, sid):
+  * the same key set, and the same event sequence per key. */
+class SubstreamsSpec extends SparkSpec {
+  import spark.implicits._
+
+  private type Subs = Map[(String, Long), Seq[Ev]]
+
+  private def reference(evs: Seq[Ev], win: WindowSpec): Subs =
+    evs.flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
+      .groupBy(_._1).map { case (k, kv) => k -> kv.map(_._2).sortBy(e => (e.time, e.sid)) }
+
+  /** The substreams of `evs`, read in shuffled order from three partitions. */
+  private def substreams(evs: Seq[Ev], win: WindowSpec, seed: Int): Subs = {
+    val ds = spark.sparkContext.parallelize(new Random(seed).shuffle(evs), 3).toDS()
+    val rows = Substreams.map(ds, win)((g, w, s) => (g, w, s: Seq[Ev])).collect()
+    assert(rows.forall(_._3.nonEmpty), "an empty substream was emitted")
+    assert(rows.map(r => (r._1, r._2)).distinct.length == rows.length, "a substream was emitted twice")
+    rows.map(r => (r._1, r._2) -> r._3).toMap
+  }
+
+  private def check(evs: Seq[Ev], win: WindowSpec, seed: Int = 1): Subs = {
+    val got = substreams(evs, win, seed)
+    assert(got == reference(evs, win), s"window $win")
+    got
+  }
+
+  /** `n` events over `groups` groups: each group's times advance by 0 (a
+    * tie), 1, 2, or a gap longer than `gapOver`; sids are a random
+    * permutation, so they order ties differently from arrival. */
+  private def stream(r: Random, n: Int, groups: Int, gapOver: Long): Seq[Ev] = {
+    val clock = Array.fill(groups)(r.nextInt(4).toLong)
+    val sids = r.shuffle((0 until n).toVector)
+    (0 until n).map { i =>
+      val g = r.nextInt(groups)
+      clock(g) += (r.nextInt(8) match {
+        case 0 | 1 | 2 => 0L
+        case 3 | 4 => 1L
+        case 5 | 6 => 2L
+        case _ => gapOver + 1 + r.nextInt(5)
+      })
+      Ev(sids(i).toLong, clock(g), if (r.nextBoolean()) "A" else "B", s"g$g", r.nextInt(9).toDouble)
+    }
+  }
+
+  test("random streams, groups and windows: the reference substreams") {
+    val r = new Random(17)
+    for (trial <- 0 until 24) {
+      val size = 1 + r.nextInt(12)
+      val slide = if (trial % 3 == 0) size else 1 + r.nextInt(size)
+      val win = WindowSpec(size, slide)
+      check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial)
+    }
+  }
+
+  test("several groups, each cut into its own windows") {
+    val evs = for (g <- 0 until 5; t <- 0L until 20L) yield Ev(g * 100L + t, t, "A", s"g$g", t.toDouble)
+    val got = check(evs, WindowSpec(6, 3))
+    assert(got.keySet.map(_._1) == (0 until 5).map(g => s"g$g").toSet)
+    assert(got(("g3", 3L)).map(_.time) == (3L until 9L))
+  }
+
+  test("time ties are broken by sid, not by arrival") {
+    val evs = Seq(Ev(9, 4, "A", "g", 1), Ev(2, 4, "B", "g", 2), Ev(5, 4, "A", "g", 3), Ev(1, 7, "B", "g", 4))
+    for (seed <- 0 until 4) {
+      val got = check(evs, WindowSpec(10, 5), seed)
+      assert(got(("g", 0L)).map(_.sid) == Seq(2L, 5L, 9L, 1L))
+    }
+  }
+
+  test("tumbling windows: each event in exactly one substream") {
+    val evs = stream(new Random(3), 200, 3, 7)
+    val got = check(evs, WindowSpec(7, 7))
+    assert(got.values.map(_.size).sum == evs.size)
+  }
+
+  test("a size that is not a multiple of the slide") {
+    check(stream(new Random(4), 200, 3, 7), WindowSpec(7, 3))
+    check(stream(new Random(5), 200, 2, 10), WindowSpec(10, 4))
+  }
+
+  test("gaps longer than a window open no empty window") {
+    val evs = Seq(0L, 1L, 30L, 31L, 100L, 250L).map(t => Ev(t, t, "A", "g", 1))
+    val got = check(evs, WindowSpec(10, 5))
+    assert(got.keySet.map(_._2) == Set(0L, 25L, 30L, 95L, 100L, 245L, 250L))
+  }
+
+  test("an empty stream has no substreams") {
+    assert(check(Nil, WindowSpec(10, 5)).isEmpty)
+  }
+}

@@ -49,6 +49,20 @@ class WindowSpecSpec extends AnyFunSuite {
     assert(e.getMessage.contains("-3"))
   }
 
+  test("firstWindow and lastWindow are windowsOf's ends, and reject negative times") {
+    val r = new Random(11)
+    for (_ <- 1 to 500) {
+      val size = 1 + r.nextInt(100)
+      val w = WindowSpec(size, 1 + r.nextInt(size))
+      val t = r.nextInt(10000).toLong
+      assert(w.firstWindow(t) == w.windowsOf(t).head && w.lastWindow(t) == w.windowsOf(t).last)
+    }
+    val unbounded = WindowSpec(Long.MaxValue, Long.MaxValue)
+    assert(unbounded.firstWindow(Long.MaxValue - 1) == 0L && unbounded.lastWindow(Long.MaxValue - 1) == 0L)
+    assert(intercept[IllegalArgumentException](WindowSpec(10, 5).firstWindow(-1)).getMessage.contains("-1"))
+    assert(intercept[IllegalArgumentException](WindowSpec(10, 5).lastWindow(-1)).getMessage.contains("-1"))
+  }
+
   test("invalid windows are rejected") {
     assertThrows[IllegalArgumentException](WindowSpec(0, 1))
     assertThrows[IllegalArgumentException](WindowSpec(5, 10))
