@@ -9,9 +9,10 @@ final case class StoredEv(sid: Long, time: Long, etype: String, value: Double, a
   def toEv: Ev = Ev(sid, time, etype, "", value)
 }
 
-/** Serializable snapshot of a Cogra aggregator's state — the per-key state
-  * that `CograStream` persists between micro-batches. Each granularity has
-  * its own state type holding exactly what it reads. */
+/** Serializable snapshot of a Cogra aggregator's state: one open window
+  * inside a group's state row ([[CograState]]), which `CograStream` persists
+  * between micro-batches. Each granularity has its own state type holding
+  * exactly what it reads. */
 sealed trait AggState extends Serializable
 
 /** Type-grained state (Algorithm 1): one aggregate per event type. */

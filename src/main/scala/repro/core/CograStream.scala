@@ -1,45 +1,61 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, Encoder, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
+import scala.collection.mutable
+import scala.reflect.runtime.universe.TypeTag
+
+/** A group's streaming state: its last processed event's (time, sid), the id
+  * of its oldest open window, and one granularity snapshot per open window,
+  * oldest first. */
+final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, lo: Long, windows: Seq[S])
 
 /** Structured Streaming driver for Cogra.
   *
-  * The paper's incremental model — "update aggregates on event arrival,
-  * discard the event" — maps 1:1 onto keyed state in
-  * `flatMapGroupsWithState`: the state per (group, window) key is exactly
-  * the state of the query's granularity ([[AggState]]): type-grained
-  * aggregate slots, the stored T_e events of the mixed granularity, or the
-  * pattern-grained last-event + final aggregates. Each micro-batch folds
-  * its events into the state and emits the current aggregate (Update mode);
-  * per-key results are monotone in `count`, so the row with the maximal
-  * count is the final answer for a window.
-  *
-  * In-order arrival per key across micro-batches is assumed, mirroring the
-  * paper's time-driven scheduler (§8); within a batch events are sorted.
+  * Each group is an independent substream (§7) whose events are processed
+  * in time order (§8), so its open windows are all the state it needs: the
+  * state is keyed on the group (`flatMapGroupsWithState`, Update mode, no
+  * timeout, no watermark), and each event is shuffled once. A micro-batch
+  * sorts a group's events by (time, sid), restores its open windows'
+  * aggregators and pushes the events through the batch path's cutter
+  * ([[Substreams.Windows]]); windows an event closes leave the state. It
+  * emits the running aggregate of every window that got events in the
+  * micro-batch, those it closed included, and writes back the open ones.
+  * An event not after its group's last processed (time, sid) from an
+  * earlier micro-batch fails the micro-batch (`IllegalArgumentException`)
+  * rather than being folded in as the newest.
   */
 object CograStream {
 
-  def run(spark: SparkSession, events: Dataset[Ev], q: TrendQuery): Dataset[WinResult] = {
-    import spark.implicits._
+  def run(spark: SparkSession, events: Dataset[Ev], q: TrendQuery): Dataset[WinResult] =
     Granularity.select(q) match {
       case Granularity.TypeG    => fold[TypeState](events, q, new TypeGrained(q, _))
       case Granularity.MixedG   => fold[MixedState](events, q, new MixedGrained(q, _))
       case Granularity.PatternG => fold[PatternState](events, q, new PatternGrained(q, _))
     }
-  }
 
-  private def fold[S <: AggState : Encoder](events: Dataset[Ev], q: TrendQuery,
+  private def fold[S <: AggState : TypeTag](events: Dataset[Ev], q: TrendQuery,
       aggregator: Option[S] => TrendAggregator[S]): Dataset[WinResult] = {
     import events.sparkSession.implicits._
-    Substreams.grouped(events, q.window)
-      .flatMapGroupsWithState[S, WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
-        (key: (String, Long), it: Iterator[(Long, Ev)], state: GroupState[S]) =>
-          val agg = aggregator(state.getOption)
-          agg.onEvents(Substreams.sorted(it))
-          state.update(agg.snapshot)
-          val r = agg.result
-          Iterator.single(WinResult(key._1, key._2, r.count, r.countE, r.sum, r.min, r.max, r.avg))
+    events.groupByKey(_.group)
+      .flatMapGroupsWithState[CograState[S], WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
+        (group: String, it: Iterator[Ev], state: GroupState[CograState[S]]) =>
+          val evs = it.toArray.sorted
+          val out = mutable.ArrayBuffer.empty[WinResult]
+          var fed = false // restored windows closed by the first event got none of this batch's events
+          val windows = new Substreams.Windows[TrendAggregator[S]](q.window, () => aggregator(None), _.onEvent(_),
+            (wid, a) => if (fed) { val r = a.result; out += WinResult(group, wid, r.count, r.countE, r.sum, r.min, r.max, r.avg) })
+          state.getOption.foreach { s =>
+            val e = evs.head
+            require(e.time > s.lastTime || (e.time == s.lastTime && e.sid > s.lastSid),
+              s"late event $e: not after group $group's last processed (time, sid) (${s.lastTime}, ${s.lastSid})")
+            windows.lo = s.lo
+            windows.open ++= s.windows.map(w => aggregator(Some(w)))
+          }
+          evs.foreach { e => windows.push(e); fed = true }
+          state.update(CograState(evs.last.time, evs.last.sid, windows.lo, windows.open.map(_.snapshot).toSeq))
+          windows.closeAll()
+          out.iterator
       }
   }
 }

@@ -1,23 +1,24 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, Encoder, KeyValueGroupedDataset}
+import org.apache.spark.sql.{Dataset, Encoder}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The substreams of paper §7: GROUP-BY/equivalence predicates partition the
   * stream, and sliding windows cut each group's events into one substream
-  * per (group, window). A substream is an immutable `ArraySeq[Ev]` in
-  * (time, sid) order, built only here; every consumer
-  * (`TrendAggregator.onEvents`, `Cogra.run`, `TrendEngine.run`) takes it as
-  * it is, without a copy. Two paths build them:
+  * per (group, window). Both Spark paths shuffle each event once, on its
+  * group, and cut a group's (time, sid)-ordered events with one cutter,
+  * [[Substreams.Windows]], inside one task:
   *
-  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`): each event is
-  *    shuffled once, on its group, and each partition is sorted by
-  *    (group, time, sid). One sweep over a partition then cuts each group's
-  *    windows as it goes, so a group's windows are cut in one task.
-  *  - Streaming (`grouped` and `sorted`, used by `CograStream`, whose keyed
-  *    state lives per (group, window)): each event is replicated into its
-  *    windows and grouped on (group, window); `sorted` orders a key's rows.
+  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`): each partition
+  *    is sorted by (group, time, sid), and one sweep over it cuts each
+  *    group's windows into buffers. A substream is an immutable
+  *    `ArraySeq[Ev]` in (time, sid) order, built only here; every consumer
+  *    (`TrendAggregator.onEvents`, `Cogra.run`, `TrendEngine.run`) takes it
+  *    as it is, without a copy.
+  *  - Streaming (`CograStream`): `groupByKey` on the group; a group's open
+  *    windows hold live aggregators, restored from and written back to the
+  *    group's one state row.
   */
 object Substreams {
 
@@ -29,66 +30,58 @@ object Substreams {
       .mapPartitions(it => new Sweep(it, win, f))
   }
 
-  /** Cuts the windows of (group, time, sid)-sorted events. It keeps only the
-    * current group's open windows, the consecutive window ids `lo`,
-    * `lo + slide`, ..., `hi`, with one buffer each. An event first closes
-    * every open window that ends at or before its time (all of them if it
-    * starts a new group), joins the windows still open, and opens those
-    * after `hi` up to its `lastWindow`. A window is opened only by an event
-    * it holds, so no substream is empty. */
+  /** The open windows of one group, pushed its events in (time, sid) order:
+    * the consecutive window ids `lo`, `lo + slide`, ..., oldest first, each
+    * holding a `W` made by `make`. An event first hands every window that
+    * ends at or before its time to `closed`, then opens the windows after
+    * the newest up to its `lastWindow`, so the open windows are exactly
+    * those that hold it, and is fed to each. A window is opened only by an
+    * event it holds. No id past the newest open window is computed, so
+    * windows near `Long.MaxValue` do not overflow. */
+  private[core] final class Windows[W](win: WindowSpec, make: () => W, feed: (W, Ev) => Unit,
+                                       closed: (Long, W) => Unit) {
+    val open = mutable.ArrayDeque.empty[W]
+    /** The id of the oldest open window. */
+    var lo = 0L
+
+    def push(e: Ev): Unit = {
+      val first = win.firstWindow(e.time)
+      val last = win.lastWindow(e.time)
+      while (open.nonEmpty && lo < first) close()
+      if (open.isEmpty) { lo = first; open += make() }
+      while (lo + (open.size - 1) * win.slide < last) open += make()
+      var i = 0
+      while (i < open.size) { feed(open(i), e); i += 1 }
+    }
+
+    def closeAll(): Unit = while (open.nonEmpty) close()
+
+    private def close(): Unit = {
+      closed(lo, open.removeHead())
+      if (open.nonEmpty) lo += win.slide
+    }
+  }
+
+  /** Cuts the windows of (group, time, sid)-sorted events: each event joins
+    * its windows, and a new group first closes all of the last group's. */
   private final class Sweep[R](in: Iterator[Ev], win: WindowSpec, f: (String, Long, ArraySeq[Ev]) => R)
       extends scala.collection.AbstractIterator[R] {
-    private val open = mutable.ArrayDeque.empty[mutable.ArrayBuilder[Ev]]
-    private var lo = 0L
-    private var hi = 0L
     private var group: String = _
     private val done = mutable.Queue.empty[R]
+    private val windows = new Windows[mutable.ArrayBuilder[Ev]](win, () => mutable.ArrayBuilder.make[Ev],
+      _ += _, (wid, b) => done += f(group, wid, ArraySeq.unsafeWrapArray(b.result())))
 
     def hasNext: Boolean = {
-      while (done.isEmpty && (in.hasNext || open.nonEmpty))
-        if (in.hasNext) push(in.next()) else close(open.size)
+      while (done.isEmpty && (in.hasNext || windows.open.nonEmpty))
+        if (in.hasNext) push(in.next()) else windows.closeAll()
       done.nonEmpty
     }
 
     def next(): R = if (hasNext) done.dequeue() else Iterator.empty.next()
 
     private def push(e: Ev): Unit = {
-      val first = win.firstWindow(e.time)
-      val last = win.lastWindow(e.time)
-      if (e.group != group) { close(open.size); group = e.group }
-      while (open.nonEmpty && lo < first) close(1)
-      var i = 0
-      while (i < open.size) { open(i) += e; i += 1 }
-      if (open.isEmpty) { lo = first; hi = first - win.slide }
-      while (hi < last) {
-        hi += win.slide
-        val b = mutable.ArrayBuilder.make[Ev]
-        b += e
-        open += b
-      }
+      if (e.group != group) { windows.closeAll(); group = e.group }
+      windows.push(e)
     }
-
-    /** Closes the `n` oldest open windows. */
-    private def close(n: Int): Unit =
-      for (_ <- 0 until n) {
-        done += f(group, lo, ArraySeq.unsafeWrapArray(open.removeHead().result()))
-        lo += win.slide
-      }
-  }
-
-  /** Streaming path: sliding-window explode and `groupByKey` on
-    * (group, window). */
-  private[core] def grouped(events: Dataset[Ev], win: WindowSpec): KeyValueGroupedDataset[(String, Long), (Long, Ev)] = {
-    import events.sparkSession.implicits._
-    events
-      .flatMap(e => win.windowsOf(e.time).map(wid => (wid, e)))
-      .groupByKey { case (wid, e) => (e.group, wid) }
-  }
-
-  /** A key's rows of `grouped` as its (time, sid)-ordered substream. */
-  private[core] def sorted(it: Iterator[(Long, Ev)]): ArraySeq[Ev] = {
-    val evs = it.map(_._2).toArray
-    scala.util.Sorting.stableSort(evs, (a: Ev, b: Ev) => Ev.ordering.lt(a, b))
-    ArraySeq.unsafeWrapArray(evs) // the array is not referenced elsewhere
   }
 }
