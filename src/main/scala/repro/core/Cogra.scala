@@ -5,12 +5,11 @@ package repro.core
   * granularity (Table 4) and instantiates the matching aggregator. */
 object Cogra {
 
-  /** `restore` must be a snapshot of an aggregator for the same query. */
-  def aggregator(q: TrendQuery, restore: Option[AggState] = None): TrendAggregator[_ <: AggState] =
+  def aggregator(q: TrendQuery): TrendAggregator[_ <: AggState] =
     Granularity.select(q) match {
-      case Granularity.TypeG    => new TypeGrained(q, restore.map(_.asInstanceOf[TypeState]))
-      case Granularity.MixedG   => new MixedGrained(q, restore.map(_.asInstanceOf[MixedState]))
-      case Granularity.PatternG => new PatternGrained(q, restore.map(_.asInstanceOf[PatternState]))
+      case Granularity.TypeG    => new TypeGrained(q)
+      case Granularity.MixedG   => new MixedGrained(q)
+      case Granularity.PatternG => new PatternGrained(q)
     }
 
   /** Run over one time-ordered substream. */

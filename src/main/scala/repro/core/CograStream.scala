@@ -14,16 +14,17 @@ final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, lo: Lo
   *
   * Each group is an independent substream (§7) whose events are processed
   * in time order (§8), so its open windows are all the state it needs: the
-  * state is keyed on the group (`flatMapGroupsWithState`, Update mode, no
-  * timeout, no watermark), and each event is shuffled once. A micro-batch
-  * sorts a group's events by (time, sid), restores its open windows'
-  * aggregators and pushes the events through the batch path's cutter
-  * ([[Substreams.Windows]]); windows an event closes leave the state. It
-  * emits the running aggregate of every window that got events in the
-  * micro-batch, those it closed included, and writes back the open ones.
-  * An event not after its group's last processed (time, sid) from an
-  * earlier micro-batch fails the micro-batch (`IllegalArgumentException`)
-  * rather than being folded in as the newest.
+  * state is keyed on the group column ([[Substreams.byGroup]],
+  * `flatMapGroupsWithState`, Update mode, no timeout, no watermark), and
+  * each event is shuffled once. A micro-batch sorts a group's events by
+  * (time, sid), restores its open windows' aggregators and pushes the
+  * events through the batch path's cutter ([[Substreams.Windows]]);
+  * windows an event closes leave the state. It emits the running aggregate
+  * of every window that got events in the micro-batch, those it closed
+  * included, and writes back the open ones. An event not after its group's
+  * last processed (time, sid) from an earlier micro-batch fails the
+  * micro-batch (`IllegalArgumentException`) rather than being folded in as
+  * the newest.
   */
 object CograStream {
 
@@ -37,7 +38,7 @@ object CograStream {
   private def fold[S <: AggState : TypeTag](events: Dataset[Ev], q: TrendQuery,
       aggregator: Option[S] => TrendAggregator[S]): Dataset[WinResult] = {
     import events.sparkSession.implicits._
-    events.groupByKey(_.group)
+    Substreams.byGroup(events)
       .flatMapGroupsWithState[CograState[S], WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
         (group: String, it: Iterator[Ev], state: GroupState[CograState[S]]) =>
           val evs = it.toArray.sorted

@@ -15,7 +15,7 @@ package repro.core
   * come after every stored event in (time, sid) order, since only earlier
   * events can be adjacent to it.
   */
-final class MixedGrained(val query: TrendQuery, restore: Option[MixedState] = None)
+final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
     extends TrendAggregator[MixedState] {
   import AggBuf.Width
   private val plan = query.plan

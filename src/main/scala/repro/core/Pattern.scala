@@ -43,7 +43,6 @@ object Pattern {
   * the follow relation yields `predTypes`.
   */
 final case class PatternInfo(
-    pattern: Pattern,
     types: Vector[String],
     start: String,
     end: String,
@@ -64,7 +63,7 @@ object PatternAnalyzer {
     require(first.size == 1 && last.size == 1,
       s"pattern must have exactly one start and one end type: ${p.render}")
     val pred = follow.groupMap(_._2)(_._1).map { case (k, v) => k -> v.toSet }
-    PatternInfo(p, ts, first.head, last.head, pred.withDefaultValue(Set.empty))
+    PatternInfo(ts, first.head, last.head, pred.withDefaultValue(Set.empty))
   }
 
   /** Returns (first, last, follow-pairs) of the pattern. */

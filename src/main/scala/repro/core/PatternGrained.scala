@@ -9,7 +9,7 @@ package repro.core
   * Fidelity note (see DESIGN.md): this is the paper's single-tip operational
   * semantics; a new start-type event replaces the tip (Algorithm 3 line 7).
   */
-final class PatternGrained(val query: TrendQuery, restore: Option[PatternState] = None)
+final class PatternGrained(query: TrendQuery, restore: Option[PatternState] = None)
     extends TrendAggregator[PatternState] {
   require(query.semantics == Semantics.NEXT || query.semantics == Semantics.CONT,
     "pattern granularity applies to NEXT/CONT only (Table 4)")

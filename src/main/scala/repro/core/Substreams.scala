@@ -1,33 +1,45 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, Encoder}
+import org.apache.spark.sql.{Dataset, Encoder, KeyValueGroupedDataset}
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 /** The substreams of paper §7: GROUP-BY/equivalence predicates partition the
   * stream, and sliding windows cut each group's events into one substream
-  * per (group, window). Both Spark paths shuffle each event once, on its
-  * group, and cut a group's (time, sid)-ordered events with one cutter,
-  * [[Substreams.Windows]], inside one task:
+  * per (group, window). Every driver keys events with [[Substreams.byGroup]],
+  * so Spark shuffles each event once, on its group column, and hands a
+  * group's events to one function call; that call cuts the group's
+  * (time, sid)-ordered events with one cutter, [[Substreams.Windows]]:
   *
-  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`): each partition
-  *    is sorted by (group, time, sid), and one sweep over it cuts each
-  *    group's windows into buffers. A substream is an immutable
-  *    `ArraySeq[Ev]` in (time, sid) order, built only here; every consumer
-  *    (`TrendAggregator.onEvents`, `Cogra.run`, `TrendEngine.run`) takes it
-  *    as it is, without a copy.
-  *  - Streaming (`CograStream`): `groupByKey` on the group; a group's open
+  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`):
+  *    `flatMapSortedGroups` gives each group's events in (time, sid) order,
+  *    and the cutter collects each window's events into a buffer. A
+  *    substream is an immutable `ArraySeq[Ev]` in (time, sid) order, built
+  *    only here; every consumer (`TrendAggregator.onEvents`, `Cogra.run`,
+  *    `TrendEngine.run`) takes it as it is, without a copy.
+  *  - Streaming (`CograStream`): `flatMapGroupsWithState`; a group's open
   *    windows hold live aggregators, restored from and written back to the
   *    group's one state row.
   */
 object Substreams {
 
+  /** The events keyed by their `group` column. */
+  def byGroup(events: Dataset[Ev]): KeyValueGroupedDataset[String, Ev] = {
+    import events.sparkSession.implicits._
+    events.groupBy($"group").as[String, Ev]
+  }
+
   /** One output row per non-empty substream: `f(group, wid, events)`. */
   def map[R: Encoder](events: Dataset[Ev], win: WindowSpec)(f: (String, Long, ArraySeq[Ev]) => R): Dataset[R] = {
     import events.sparkSession.implicits._
-    events.repartition($"group")
-      .sortWithinPartitions($"group", $"time", $"sid")
-      .mapPartitions(it => new Sweep(it, win, f))
+    byGroup(events).flatMapSortedGroups($"time", $"sid") { (g, it) =>
+      val out = mutable.ArrayBuffer.empty[R]
+      val windows = new Windows[mutable.ArrayBuilder[Ev]](win, () => mutable.ArrayBuilder.make[Ev],
+        _ += _, (wid, b) => out += f(g, wid, ArraySeq.unsafeWrapArray(b.result())))
+      it.foreach(windows.push)
+      windows.closeAll()
+      out
+    }
   }
 
   /** The open windows of one group, pushed its events in (time, sid) order:
@@ -59,29 +71,6 @@ object Substreams {
     private def close(): Unit = {
       closed(lo, open.removeHead())
       if (open.nonEmpty) lo += win.slide
-    }
-  }
-
-  /** Cuts the windows of (group, time, sid)-sorted events: each event joins
-    * its windows, and a new group first closes all of the last group's. */
-  private final class Sweep[R](in: Iterator[Ev], win: WindowSpec, f: (String, Long, ArraySeq[Ev]) => R)
-      extends scala.collection.AbstractIterator[R] {
-    private var group: String = _
-    private val done = mutable.Queue.empty[R]
-    private val windows = new Windows[mutable.ArrayBuilder[Ev]](win, () => mutable.ArrayBuilder.make[Ev],
-      _ += _, (wid, b) => done += f(group, wid, ArraySeq.unsafeWrapArray(b.result())))
-
-    def hasNext: Boolean = {
-      while (done.isEmpty && (in.hasNext || windows.open.nonEmpty))
-        if (in.hasNext) push(in.next()) else windows.closeAll()
-      done.nonEmpty
-    }
-
-    def next(): R = if (hasNext) done.dequeue() else Iterator.empty.next()
-
-    private def push(e: Ev): Unit = {
-      if (e.group != group) { windows.closeAll(); group = e.group }
-      windows.push(e)
     }
   }
 }

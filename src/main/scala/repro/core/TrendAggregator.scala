@@ -4,8 +4,6 @@ package repro.core
   * fed events in (time, sid) order. Implementations are the paper's three
   * granularities (§§4–6); `S` is the granularity's streaming state. */
 trait TrendAggregator[S <: AggState] {
-  /** The query being evaluated. */
-  def query: TrendQuery
   /** Process one event and discard it (unless the granularity must store it). */
   def onEvent(e: Ev): Unit
   /** Process events in order. Each aggregator has its own copy of this

@@ -7,7 +7,7 @@ package repro.core
   * Time O(n·l), space Θ(l). Runs on the query's [[Plan]]; an event
   * allocates nothing.
   */
-final class TypeGrained(val query: TrendQuery, restore: Option[TypeState] = None)
+final class TypeGrained(query: TrendQuery, restore: Option[TypeState] = None)
     extends TrendAggregator[TypeState] {
   import AggBuf.Width
   private val plan = query.plan

@@ -2,7 +2,9 @@ package repro.core
 
 import java.nio.file.Files
 import org.apache.spark.sql.Dataset
-import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.streaming.operators.stateful.flatmapgroupswithstate.FlatMapGroupsWithStateExec
+import org.apache.spark.sql.execution.streaming.runtime.{MemoryStream, StreamingQueryWrapper}
 import org.apache.spark.sql.streaming.{StreamingQueryException, StreamingQueryProgress}
 import repro.SparkSpec
 import repro.core.Pattern._
@@ -41,7 +43,8 @@ class CograStreamSpec extends SparkSpec {
         val failure =
           try { chunks.foreach { c => input.addData(c); query.processAllAvailable() }; None }
           catch { case e: StreamingQueryException => Some(e) }
-        Run(emitted.synchronized(emitted.sortBy(_._1).map(_._2).toSeq), query.lastProgress, failure)
+        Run(emitted.synchronized(emitted.sortBy(_._1).map(_._2).toSeq), query.lastProgress, failure,
+          query.asInstanceOf[StreamingQueryWrapper].streamingQuery.lastExecution.executedPlan)
       } finally query.stop()
     } finally {
       spark.conf.set("spark.sql.shuffle.partitions", partitions)
@@ -90,6 +93,14 @@ class CograStreamSpec extends SparkSpec {
       WindowSpec(100, 100))
     val got = runStreaming(q, Seq(fig2.take(3), fig2.slice(3, 6), fig2.drop(6)))
     assert(got(("g", 0L)).count == 43.0)
+  }
+
+  test("the state is keyed on the group column: no AppendColumns, grouped on `group`") {
+    val run = stream(queries(WindowSpec(4, 2)).head, Seq(fig2))
+    assert(run.failure.isEmpty)
+    assert(run.plan.collect { case p if p.nodeName.startsWith("AppendColumns") => p }.isEmpty, run.plan)
+    val grouped = run.plan.collect { case p: FlatMapGroupsWithStateExec => p.groupingAttributes.map(_.name) }
+    assert(grouped == Seq(Seq("group")), run.plan)
   }
 
   test("streaming == batch across granularities on a generated stream") {
@@ -179,7 +190,8 @@ class CograStreamSpec extends SparkSpec {
 
 object CograStreamSpec {
   /** One streaming query's output: each micro-batch's rows in batch order,
-    * its last progress report, and the failure that stopped it, if any. */
+    * its last progress report, the failure that stopped it, if any, and its
+    * last micro-batch's executed plan. */
   private final case class Run(batches: Seq[Seq[WinResult]], last: StreamingQueryProgress,
-                               failure: Option[StreamingQueryException])
+                               failure: Option[StreamingQueryException], plan: SparkPlan)
 }

@@ -153,7 +153,11 @@ class DifferentialSpec extends AnyFunSuite {
       val (h1, h2) = evs.splitAt(6)
       val a1 = Cogra.aggregator(q)
       h1.foreach(a1.onEvent)
-      val a2 = Cogra.aggregator(q, Some(a1.snapshot))
+      val a2 = a1 match {
+        case a: TypeGrained    => new TypeGrained(q, Some(a.snapshot))
+        case a: MixedGrained   => new MixedGrained(q, Some(a.snapshot))
+        case a: PatternGrained => new PatternGrained(q, Some(a.snapshot))
+      }
       h2.foreach(a2.onEvent)
       assertAggEq(a2.result, Cogra.run(evs, q), s"$pName/$semName/$seed")
     }

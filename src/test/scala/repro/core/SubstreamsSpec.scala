@@ -1,13 +1,19 @@
 package repro.core
 
+import org.apache.spark.sql.catalyst.expressions.Attribute
+import org.apache.spark.sql.catalyst.plans.physical.HashPartitioning
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import repro.SparkSpec
+import repro.baselines.{Budget, Greta, SparkRunner}
+import repro.core.Pattern._
 import scala.util.Random
 
 /** Differential test of the batch substreams: `Substreams.map` must yield
   * exactly the driver-side reference, each event exploded into
   * `windowsOf(time)` and each (group, window) stably sorted by (time, sid):
   * the same key set, and the same event sequence per key. */
-class SubstreamsSpec extends SparkSpec {
+class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
   private type Subs = Map[(String, Long), Seq[Ev]]
@@ -50,12 +56,34 @@ class SubstreamsSpec extends SparkSpec {
   }
 
   test("random streams, groups and windows: the reference substreams") {
-    val r = new Random(17)
-    for (trial <- 0 until 24) {
-      val size = 1 + r.nextInt(12)
-      val slide = if (trial % 3 == 0) size else 1 + r.nextInt(size)
-      val win = WindowSpec(size, slide)
-      check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial)
+    // at one shuffle partition every group shares one task
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions")
+    try {
+      for (shuffle <- Seq(partitions, "1")) {
+        spark.conf.set("spark.sql.shuffle.partitions", shuffle)
+        val r = new Random(17)
+        for (trial <- 0 until 24) {
+          val size = 1 + r.nextInt(12)
+          val slide = if (trial % 3 == 0) size else 1 + r.nextInt(size)
+          val win = WindowSpec(size, slide)
+          check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial)
+        }
+      }
+    } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
+  }
+
+  test("both batch drivers shuffle each event once, hash-partitioned on the group alone") {
+    val evs = stream(new Random(6), 200, 3, 7)
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"), WindowSpec(7, 3))
+    for (ds <- Seq(CograBatch.run(spark, evs.toDS(), q),
+                   SparkRunner.run(spark, evs.toDS(), q, Greta, Budget()))) {
+      ds.collect()
+      val shuffles = collect(ds.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }
+      assert(shuffles.size == 1, ds.queryExecution.executedPlan)
+      shuffles.head.outputPartitioning match {
+        case h: HashPartitioning => assert(h.expressions.map(_.asInstanceOf[Attribute].name) == Seq("group"))
+        case p => fail(s"not hash-partitioned: $p")
+      }
     }
   }
 
