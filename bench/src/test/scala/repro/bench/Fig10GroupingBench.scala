@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 10: number of trend groups 5–30 (transport-style data, fixed
   * events per window, SEQ(A+,B) under ANY). Paper: two-step approaches DNF
@@ -14,9 +13,8 @@ class Fig10GroupingBench extends SparkSpec {
     // descending: fewer groups = exponentially harder, and the harness
     // skips an engine's remaining (harder) points after its first DNF
     val groups = Seq(30, 25, 20, 15, 10, 5)
-    val rows = Experiments.fig10(spark, groups, n = 600L,
-      Budget(maxTrends = 2_000_000, maxMillis = 15_000))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig10(spark, groups, n = 600L)
+    println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)
     for (e <- Seq("GRETA", "A-Seq", "Cogra"))

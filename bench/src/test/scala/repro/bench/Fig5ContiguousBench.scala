@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 5: contiguous semantics (q1-style M+ with increasing-rate
   * predicate, activity data, 14 groups), all approaches that support CONT
@@ -11,8 +10,8 @@ class Fig5ContiguousBench extends SparkSpec {
 
   test("fig5: contiguous semantics sweep") {
     val scales = Seq(10_000L, 50_000L, 100_000L, 200_000L)
-    val rows = Experiments.fig5(spark, scales, Budget(maxMillis = 30_000))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig5(spark, scales)
+    println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)
     // under CONT the trend sets are small: every engine terminates (paper)

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 6: skip-till-next-match ((SEQ(A+,B))+, transport data, 30
   * groups), SASE vs Cogra (the only engines supporting NEXT, Table 9).
@@ -11,8 +10,8 @@ class Fig6NextMatchBench extends SparkSpec {
 
   test("fig6: skip-till-next-match sweep") {
     val scales = Seq(1_000L, 5_000L, 10_000L, 50_000L, 100_000L)
-    val rows = Experiments.fig6(spark, scales, Budget(maxMillis = 15_000))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig6(spark, scales)
+    println(Experiments.markdown(rows))
 
     val cogra = rows.filter(_.engine == "Cogra")
     val sase = rows.filter(_.engine == "SASE")

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 7: skip-till-any-match (SEQ(A+,B), stock data, 19 groups), all
   * five approaches, varying events per window. Paper: Flink and SASE blow
@@ -11,8 +10,8 @@ class Fig7AnyAllBench extends SparkSpec {
 
   test("fig7: skip-till-any-match sweep, all engines") {
     val scales = Seq(100L, 200L, 400L, 800L, 1_600L)
-    val rows = Experiments.fig7(spark, scales, Budget(maxTrends = 2_000_000, maxMillis = 15_000))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig7(spark, scales)
+    println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)
     // online approaches never DNF

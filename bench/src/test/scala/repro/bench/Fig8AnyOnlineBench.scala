@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 8: skip-till-any-match at high rates, online approaches only
   * (GRETA, A-Seq, Cogra; stock data, 19 groups). Paper: GRETA's O(n²) graph
@@ -11,8 +10,8 @@ class Fig8AnyOnlineBench extends SparkSpec {
 
   test("fig8: skip-till-any-match sweep, online engines") {
     val scales = Seq(10_000L, 50_000L, 100_000L, 200_000L, 500_000L)
-    val rows = Experiments.fig8(spark, scales, Budget(maxMillis = 15_000))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig8(spark, scales)
+    println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)
     assert(byEngine("Cogra").forall(!_.dnf), "Cogra must never DNF")

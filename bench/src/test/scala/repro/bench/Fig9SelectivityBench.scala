@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.baselines.Budget
 
 /** Figure 9: predicate selectivity 10–90% (SEQ(A+,B) under ANY with a
   * tunable-selectivity predicate on (A,A) adjacency; stock data; 50k-event
@@ -13,10 +12,8 @@ class Fig9SelectivityBench extends SparkSpec {
 
   test("fig9: predicate selectivity sweep") {
     val sels = Seq(0.1, 0.3, 0.5, 0.7, 0.9)
-    val rows = Experiments.fig9(spark, sels, n = 400L,
-      budget = Budget(maxTrends = 5_000_000, maxMillis = 15_000),
-      flinkBudget = Some(Budget(maxTrends = 5_000_000, maxUnits = 60_000, maxMillis = 15_000)))
-    Experiments.printRows(rows)
+    val rows = Experiments.fig9(spark, sels, n = 400L)
+    println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)
     assert(byEngine("Cogra").forall(!_.dnf))

@@ -43,7 +43,7 @@ object Exhibit {
     else {
       val points = args.lift(1).map(_.split(",").toSeq.map(_.trim))
       val spark = JobSupport.session(s"cogra-$name")
-      try Experiments.printRows(figures.toMap.apply(name)(spark, points))
+      try println(Experiments.markdown(figures.toMap.apply(name)(spark, points)))
       finally spark.stop()
     }
   }

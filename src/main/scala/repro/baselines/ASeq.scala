@@ -32,12 +32,9 @@ object ASeq extends TrendEngine {
     try {
       require(q.adjPreds.isEmpty, "A-Seq does not support predicates on adjacent events")
       val info = q.info
-      val deadline = budget.deadline
+      var work = 0L
       val nodes = mutable.ArrayBuffer.empty[Node]
-      var i = 0
       for (e <- events) {
-        i += 1
-        if ((i & 0xFF) == 0 && System.currentTimeMillis() > deadline) throw new BudgetExceeded
         val tpe = e.etype
         if (info.contains(tpe)) {
           val isTarget = tpe == q.target
@@ -48,6 +45,7 @@ object ASeq extends TrendEngine {
           //     in descending index order (a same-type parent is updated
           //     after its child read it).
           val existing = nodes.size
+          work += existing; budget.check(work) // each pass below visits every counter
           var k = 0
           while (k < existing) {
             val p = nodes(k)
@@ -56,7 +54,6 @@ object ASeq extends TrendEngine {
               val c = new Node(tpe, p.depth + 1, k)
               c.agg = Agg.extend(p.agg, e.value, isTarget)
               nodes += c
-              if (nodes.size > budget.maxUnits) throw new BudgetExceeded
             }
             k += 1
           }
@@ -83,6 +80,6 @@ object ASeq extends TrendEngine {
       nodes.foreach { n =>
         if (n.etype == info.end) { acc = Agg.merge(acc, n.agg); queries += 1 }
       }
-      RunResult(acc, nodes.size.toLong, queries, dnf = false)
+      RunResult(acc, nodes.size.toLong, queries, work, dnf = false)
     } catch { case _: BudgetExceeded => RunResult.DNF }
 }

@@ -2,13 +2,12 @@ package repro.baselines
 
 import repro.core._
 
-/** Resource budget for a single substream run. Two-step engines abort and
-  * report DNF ("does not terminate", as in the paper's §9 plots) when a
-  * budget is exceeded. */
-final case class Budget(maxTrends: Long = 2_000_000L,
-                        maxUnits: Long = 20_000_000L,
-                        maxMillis: Long = 60_000L) extends Serializable {
-  def deadline: Long = System.currentTimeMillis() + maxMillis
+/** Cap on the work of one substream run: each capped engine counts the
+  * iterations of its inner loop. A run past the cap aborts and reports DNF
+  * ("does not terminate", as in the paper's §9 plots). No clock is read, so
+  * DNF depends on the events and the query alone. */
+final case class Budget(maxWork: Long = 10_000_000_000L) extends Serializable {
+  def check(work: Long): Unit = if (work > maxWork) throw new BudgetExceeded
 }
 
 /** Result of evaluating a query over one substream.
@@ -18,12 +17,13 @@ final case class Budget(maxTrends: Long = 2_000_000L,
   *                  events, pointers, counters, or trend elements
   * @param trends    number of trends the engine explicitly constructed
   *                  (0 for online engines)
-  * @param dnf       true if a budget was exceeded
+  * @param work      the engine's work count (see [[Budget]]; 0 for Cogra)
+  * @param dnf       true if the work cap was exceeded
   */
-final case class RunResult(agg: Agg, peakUnits: Long, trends: Long, dnf: Boolean)
+final case class RunResult(agg: Agg, peakUnits: Long, trends: Long, work: Long, dnf: Boolean)
 
 object RunResult {
-  val DNF: RunResult = RunResult(Agg.zero, 0L, 0L, dnf = true)
+  val DNF: RunResult = RunResult(Agg.zero, 0L, 0L, 0L, dnf = true)
 }
 
 /** An event-trend aggregation engine compared in the paper's Table 9.
@@ -46,7 +46,7 @@ trait TrendEngine extends Serializable {
   def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult
 }
 
-/** Signals a budget overrun inside an engine. */
+/** Signals a work count past its cap inside an engine. */
 final class BudgetExceeded extends RuntimeException("budget exceeded")
 
 object Engines {
@@ -62,7 +62,7 @@ object Engines {
     def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
       val a = Cogra.aggregator(q)
       a.onEvents(events)
-      RunResult(a.result, a.peakUnits, 0L, dnf = false)
+      RunResult(a.result, a.peakUnits, 0L, 0L, dnf = false)
     }
   }
 

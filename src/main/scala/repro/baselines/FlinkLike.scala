@@ -25,24 +25,22 @@ object FlinkLike extends TrendEngine {
       // flattened fixed-length sequence query; the union of their result
       // sets is exactly the trend set). SASE's constructions build them.
       val stored = mutable.ArrayBuffer.empty[Vector[Ev]]
-      var unitsStored = 0L
+      var work = 0L // stored trend elements
       def store(trend: Vector[Ev]): Unit = {
+        work += trend.size; budget.check(work)
         stored += trend
-        unitsStored += trend.size
-        if (stored.size > budget.maxTrends || unitsStored > budget.maxUnits)
-          throw new BudgetExceeded
       }
       q.semantics match {
         case Semantics.ANY  =>
-          Sase.constructAny(events, q, budget.deadline)(tr => store(tr.reverseIterator.toVector))
+          Sase.constructAny(events, q, Budget(Long.MaxValue))(tr => store(tr.reverseIterator.toVector))
         case Semantics.CONT =>
-          Sase.constructNextCont(events, q, budget.deadline) { (partials, finished) =>
+          Sase.constructNextCont(events, q) { (partials, finished) =>
             if (finished) partials.foreach(store)
           }
         case Semantics.NEXT => throw new IllegalArgumentException("Flink does not support NEXT")
       }
       // Step 2: aggregate the stored matches.
-      RunResult(BruteForce.aggregate(stored, q.target), unitsStored + events.size,
-        stored.size.toLong, dnf = false)
+      RunResult(BruteForce.aggregate(stored, q.target), work + events.size,
+        stored.size.toLong, work, dnf = false)
     } catch { case _: BudgetExceeded => RunResult.DNF }
 }

@@ -21,16 +21,13 @@ object Greta extends TrendEngine {
   def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult =
     try {
       val info = q.info
-      val deadline = budget.deadline
+      var work = 0L
       val nodes = mutable.ArrayBuffer.empty[StoredEv] // the GRETA graph
       var finalAgg = Agg.zero
-      var peak = 0L
-      var i = 0
       for (e <- events) {
-        i += 1
-        if ((i & 0xFF) == 0 && System.currentTimeMillis() > deadline) throw new BudgetExceeded
         val tpe = e.etype
         if (info.contains(tpe)) {
+          work += nodes.size; budget.check(work) // one visit per stored event
           val predTs = info.preds(tpe)
           var s = if (info.isStart(tpe)) Agg.startUnit else Agg.zero
           val it = nodes.iterator
@@ -44,12 +41,10 @@ object Greta extends TrendEngine {
           val eAgg = Agg.extend(s, e.value, tpe == q.target)
           if (!eAgg.isZero) {
             nodes += StoredEv(e.sid, e.time, tpe, e.value, eAgg)
-            if (nodes.size > budget.maxUnits) throw new BudgetExceeded
             if (info.isEnd(tpe)) finalAgg = Agg.merge(finalAgg, eAgg)
           }
-          peak = math.max(peak, nodes.size.toLong)
         }
       }
-      RunResult(finalAgg, peak + 1, 0L, dnf = false)
+      RunResult(finalAgg, nodes.size + 1L, 0L, work, dnf = false)
     } catch { case _: BudgetExceeded => RunResult.DNF }
 }

@@ -15,8 +15,9 @@ import scala.collection.mutable
   *
   * The two constructions, [[constructAny]] and [[constructNextCont]], are the
   * only trend constructors of the two-step engines: Flink stores what they
-  * build, SASE aggregates it. Both abort with [[BudgetExceeded]] past the
-  * deadline; every other budget rule is the visiting engine's.
+  * build, SASE aggregates it. SASE's work (see [[Budget]]) is
+  * [[constructAny]]'s DFS steps and stack scans under ANY, and the
+  * partial-trend elements [[constructNextCont]] builds under NEXT/CONT.
   */
 object Sase extends TrendEngine {
   val name = "SASE"
@@ -26,12 +27,8 @@ object Sase extends TrendEngine {
   val online = false
 
   def run(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult =
-    try {
-      q.semantics match {
-        case Semantics.ANY => runAny(events, q, budget)
-        case _             => runNextCont(events, q, budget)
-      }
-    } catch { case _: BudgetExceeded => RunResult.DNF }
+    try if (q.semantics == Semantics.ANY) runAny(events, q, budget) else runNextCont(events, q, budget)
+    catch { case _: BudgetExceeded => RunResult.DNF }
 
   /** Two-step ANY: linear memory (the stacks), exponential construction
     * time — SASE's profile. */
@@ -40,43 +37,42 @@ object Sase extends TrendEngine {
     // events kept in stacks, plus one pointer per predecessor stack
     val units = events.iterator.filter(e => info.contains(e.etype))
       .map(e => 1L + info.preds(e.etype).size).sum
-    if (units > budget.maxUnits) throw new BudgetExceeded
     var trendCount = 0L
     var acc = Agg.zero
-    constructAny(events, q, budget.deadline) { trend =>
+    val work = constructAny(events, q, budget) { trend =>
       trendCount += 1
-      if (trendCount > budget.maxTrends) throw new BudgetExceeded
       acc = Agg.merge(acc, BruteForce.trendAgg(trend, q.target))
     }
-    RunResult(acc, units + info.types.size, trendCount, dnf = false)
+    RunResult(acc, units + info.types.size, trendCount, work, dnf = false)
   }
 
   /** Two-step NEXT/CONT: finished trends are aggregated batch by batch, when
     * the tip is of the end type; the memory proxy is the peak size of the
-    * partial-trend set. */
+    * partial-trend set, and each new set's size counts as work. */
   private def runNextCont(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget): RunResult = {
+    var work = 0L
     var trendCount = 0L
     var acc = Agg.zero
     var peak = 0L
-    constructNextCont(events, q, budget.deadline) { (partials, finished) =>
+    constructNextCont(events, q) { (partials, finished) =>
       val units = partials.iterator.map(_.size.toLong).sum
+      work += units; budget.check(work)
       peak = math.max(peak, units)
-      if (units > budget.maxUnits) throw new BudgetExceeded
       if (finished) {
         trendCount += partials.size
-        if (trendCount > budget.maxTrends) throw new BudgetExceeded
         acc = Agg.merge(acc, BruteForce.aggregate(partials, q.target))
       }
     }
-    RunResult(acc, peak, trendCount, dnf = false)
+    RunResult(acc, peak, trendCount, work, dnf = false)
   }
 
   /** ANY construction: per-type stacks, one pointer per (event, predecessor
     * stack) marking the latest earlier entry; a DFS from each end-type event
     * scans down each pointed stack. `visit` gets every trend, end event
-    * first, in a buffer that is reused: copy it to keep it. */
-  private[baselines] def constructAny(events: IndexedSeq[Ev], q: TrendQuery, deadline: Long)
-                                     (visit: collection.Seq[Ev] => Unit): Unit = {
+    * first, in a buffer that is reused: copy it to keep it. Returns the work:
+    * one per DFS step and one per stack entry scanned, capped by `budget`. */
+  private[baselines] def constructAny(events: IndexedSeq[Ev], q: TrendQuery, budget: Budget)
+                                     (visit: collection.Seq[Ev] => Unit): Long = {
     val info = q.info
     val relevant = events.filter(e => info.contains(e.etype))
     val byType = mutable.Map.empty[String, mutable.ArrayBuffer[Int]]
@@ -91,38 +87,34 @@ object Sase extends TrendEngine {
     }
     // Step 2: DFS constructs each trend (pointers run backwards in time).
     val cur = mutable.ArrayBuffer.empty[Ev] // reversed trend under construction
-    var steps = 0L
+    var work = 0L
     def dfs(i: Int): Unit = {
-      steps += 1
-      if ((steps & 0xFFFF) == 0 && System.currentTimeMillis() > deadline)
-        throw new BudgetExceeded
+      work += 1; budget.check(work)
       val e = relevant(i)
       cur += e
-      if (info.isStart(e.etype)) { // trend complete (built end -> start)
-        if (System.currentTimeMillis() > deadline) throw new BudgetExceeded
-        visit(cur)
-      }
+      if (info.isStart(e.etype)) visit(cur) // trend complete (built end -> start)
       for ((pt, top) <- pointers(i); k <- (top - 1) to 0 by -1) {
+        work += 1; budget.check(work)
         val j = byType(pt)(k)
         if (AdjPred.holds(q.adjPreds, relevant(j), e)) dfs(j)
       }
       cur.remove(cur.size - 1)
     }
     for (i <- relevant.indices if info.isEnd(relevant(i).etype)) dfs(i)
+    work
   }
 
   /** NEXT/CONT construction: the set of partial trends, all ending at the
     * single current tip. After each event that starts or extends partial
     * trends, `visit(partials, finished)` gets the whole set; `finished` says
     * the tip is of the end type, so every partial is a finished trend. */
-  private[baselines] def constructNextCont(events: IndexedSeq[Ev], q: TrendQuery, deadline: Long)
+  private[baselines] def constructNextCont(events: IndexedSeq[Ev], q: TrendQuery)
                                           (visit: (Vector[Vector[Ev]], Boolean) => Unit): Unit = {
     val info = q.info
     val cont = q.semantics == Semantics.CONT
     var partials = Vector.empty[Vector[Ev]]
     var tip: Ev = null
     for (e <- events) {
-      if (System.currentTimeMillis() > deadline) throw new BudgetExceeded
       val tpe = e.etype
       val inP = info.contains(tpe)
       val isStart = inP && info.isStart(tpe)

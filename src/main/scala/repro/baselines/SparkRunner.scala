@@ -9,7 +9,7 @@ import repro.core._
 final case class EngineWinResult(engine: String, group: String, wid: Long,
                                  count: Double, countE: Double, sum: Double,
                                  min: Double, max: Double,
-                                 peakUnits: Long, trends: Long, dnf: Boolean,
+                                 peakUnits: Long, trends: Long, work: Long, dnf: Boolean,
                                  computeMs: Double)
 
 /** Runs any [[TrendEngine]] over a windowed, grouped event stream on Spark —
@@ -25,7 +25,7 @@ object SparkRunner {
       val r = engine.run(evs, q, budget)
       val ms = (System.nanoTime() - t0) / 1e6
       EngineWinResult(engine.name, g, wid, r.agg.count, r.agg.countE, r.agg.sum,
-        r.agg.min, r.agg.max, r.peakUnits, r.trends, r.dnf, ms)
+        r.agg.min, r.agg.max, r.peakUnits, r.trends, r.work, r.dnf, ms)
     }
   }
 }

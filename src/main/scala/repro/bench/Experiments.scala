@@ -11,7 +11,7 @@ final case class ExpRow(fig: String, engine: String, x: String,
                         events: Long, windows: Long,
                         wallMs: Double, computeMs: Double,
                         latencyMsPerWin: Double, throughputEvS: Double,
-                        memUnits: Long, trends: Long,
+                        memUnits: Long, trends: Long, work: Long,
                         totalCount: Double, dnf: Boolean)
 
 /** Reproduction harness for the paper's evaluation (§9, Figures 5–10 and
@@ -21,16 +21,20 @@ final case class ExpRow(fig: String, engine: String, x: String,
   *
   * Scale points are ~1000x below the paper's (see DESIGN.md §5): the
   * two-step baselines are exponential and hit their "does not terminate"
-  * cutoffs at proportionally smaller workloads here. Once an engine DNFs at
-  * a scale, larger scales are reported DNF without being run (the paper
-  * plots the same way).
+  * cutoffs at proportionally smaller workloads here. Each figure fixes the
+  * work caps (see [[Budget]]) of the engines that DNF in it, the others run
+  * at `Budget()`: a cap is the next 1-2-5 value above the largest window's
+  * work at the engine's last point that finishes in EXPERIMENTS.md. Once an
+  * engine DNFs at a scale, larger scales are reported DNF without being run
+  * (the paper plots the same way).
   */
 object Experiments {
 
   /** Measure one engine on one workload. Events must already be cached.
     * The row is DNF if any window is; its count sums the finished windows.
     * `memUnits` is the sum of the per-substream peaks, as if every
-    * substream's state were held at once. */
+    * substream's state were held at once; `work` is the largest finished
+    * window's work count, the one the cap applies to. */
   def measure(spark: SparkSession, fig: String, x: String, events: Dataset[Ev],
               nEvents: Long, q: TrendQuery, engine: TrendEngine, budget: Budget): ExpRow = {
     val t0 = System.nanoTime()
@@ -42,24 +46,27 @@ object Experiments {
       throughputEvS = nEvents / math.max(1e-9, wallMs / 1000.0),
       memUnits = wins.iterator.map(_.peakUnits).sum,
       trends = wins.iterator.map(_.trends).sum,
+      work = wins.iterator.map(_.work).maxOption.getOrElse(0L),
       totalCount = wins.iterator.filterNot(_.dnf).map(_.count).sum,
       dnf = wins.exists(_.dnf))
   }
 
-  /** Run `engines` over increasing scales; skip an engine after its first
-    * DNF (emitting DNF rows), since the budgets are monotone in scale. Each
-    * distinct dataset is cached and counted once, when first measured. */
+  /** Run `engines` over the points, each at its cap in `caps` or at
+    * `Budget()`; skip an engine after its first DNF (emitting DNF rows): each
+    * figure orders its points by growing work, and a work cap, unlike a wall
+    * clock, gives the same DNF on every run. Each distinct dataset is cached
+    * and counted once, when first measured. */
   private def sweep(spark: SparkSession, fig: String,
                     points: Seq[(String, Dataset[Ev], Long, TrendQuery)],
                     engines: Seq[TrendEngine],
-                    budgetOf: TrendEngine => Budget): Seq[ExpRow] = {
+                    caps: Map[TrendEngine, Long]): Seq[ExpRow] = {
     val dead = scala.collection.mutable.Set.empty[String]
     val rows = for ((x, ds, n, q) <- points; e <- engines if e.supports(q)) yield {
       if (dead(e.name)) {
-        ExpRow(fig, e.name, x, n, 0, 0, 0, 0, 0, 0, 0, 0, dnf = true)
+        ExpRow(fig, e.name, x, n, 0, 0, 0, 0, 0, 0, 0, 0, 0, dnf = true)
       } else {
         if (ds.storageLevel == StorageLevel.NONE) { ds.persist(); ds.count() }
-        val r = measure(spark, fig, x, ds, n, q, e, budgetOf(e))
+        val r = measure(spark, fig, x, ds, n, q, e, caps.get(e).fold(Budget())(Budget(_)))
         if (r.dnf) dead += e.name
         r
       }
@@ -80,11 +87,11 @@ object Experiments {
     TrendQuery(plus(tp("M")), Semantics.CONT, Seq(AdjPred.Cmp("M", "M", "<")),
                Some("M"), win)
 
-  def fig5(spark: SparkSession, scales: Seq[Long], budget: Budget = Budget()): Seq[ExpRow] = {
+  def fig5(spark: SparkSession, scales: Seq[Long]): Seq[ExpRow] = {
     val points = scales.map { n =>
       (n.toString, EventGen.activity(spark, 2 * n, 14, seed = 11), 2 * n, q1(winFor(n)))
     }
-    sweep(spark, "fig5-CONT", points, Seq(FlinkLike, Sase, Engines.CograEngine), _ => budget)
+    sweep(spark, "fig5-CONT", points, Seq(FlinkLike, Sase, Engines.CograEngine), Map.empty)
   }
 
   // ---- Figure 6: skip-till-next-match, q2-style, transport data ---------
@@ -92,11 +99,11 @@ object Experiments {
   def q2(win: WindowSpec): TrendQuery =
     TrendQuery(plus(seq(plus(tp("A")), tp("B"))), Semantics.NEXT, Nil, None, win)
 
-  def fig6(spark: SparkSession, scales: Seq[Long], budget: Budget = Budget()): Seq[ExpRow] = {
+  def fig6(spark: SparkSession, scales: Seq[Long]): Seq[ExpRow] = {
     val points = scales.map { n =>
       (n.toString, EventGen.transport(spark, 2 * n, 30, seed = 17), 2 * n, q2(winFor(n)))
     }
-    sweep(spark, "fig6-NEXT", points, Seq(Sase, Engines.CograEngine), _ => budget)
+    sweep(spark, "fig6-NEXT", points, Seq(Sase, Engines.CograEngine), Map(Sase -> 500_000_000L))
   }
 
   // ---- Figures 7/8: skip-till-any-match, q3-style, stock data -----------
@@ -104,42 +111,34 @@ object Experiments {
   def q3(win: WindowSpec, preds: Seq[AdjPred] = Nil): TrendQuery =
     TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, preds, Some("B"), win)
 
-  def fig7(spark: SparkSession, scales: Seq[Long], budget: Budget = Budget()): Seq[ExpRow] = {
-    val points = scales.map { n =>
-      (n.toString, EventGen.stock(spark, 2 * n, 19, seed = 13), 2 * n, q3(winFor(n)))
-    }
-    sweep(spark, "fig7-ANY-all", points, Engines.all, _ => budget)
-  }
+  private def stockPoints(spark: SparkSession, scales: Seq[Long]) =
+    scales.map(n => (n.toString, EventGen.stock(spark, 2 * n, 19, seed = 13), 2 * n, q3(winFor(n))))
 
-  def fig8(spark: SparkSession, scales: Seq[Long], budget: Budget = Budget()): Seq[ExpRow] = {
-    val points = scales.map { n =>
-      (n.toString, EventGen.stock(spark, 2 * n, 19, seed = 13), 2 * n, q3(winFor(n)))
-    }
-    sweep(spark, "fig8-ANY-online", points, Seq(Greta, ASeq, Engines.CograEngine), _ => budget)
-  }
+  def fig7(spark: SparkSession, scales: Seq[Long]): Seq[ExpRow] =
+    sweep(spark, "fig7-ANY-all", stockPoints(spark, scales), Engines.all,
+          Map(FlinkLike -> 100_000L, Sase -> 20_000L))
+
+  def fig8(spark: SparkSession, scales: Seq[Long]): Seq[ExpRow] =
+    sweep(spark, "fig8-ANY-online", stockPoints(spark, scales), Seq(Greta, ASeq, Engines.CograEngine),
+          Map(Greta -> 100_000_000L, ASeq -> 50_000_000L))
 
   // ---- Figure 9: predicate selectivity (ANY + adjacency predicate) ------
-  def fig9(spark: SparkSession, selectivities: Seq[Double], n: Long,
-           budget: Budget = Budget(), flinkBudget: Option[Budget] = None): Seq[ExpRow] = {
+  def fig9(spark: SparkSession, selectivities: Seq[Double], n: Long): Seq[ExpRow] = {
     val ds = EventGen.stock(spark, 2 * n, 19, seed = 13)
     val points = selectivities.map { s =>
       (f"$s%.1f", ds, 2 * n, q3(winFor(n), Seq(AdjPred.Sel("A", "A", s))))
     }
     val engines = Seq(FlinkLike, Sase, Greta, Engines.CograEngine)
-    sweep(spark, "fig9-selectivity", points, engines,
-          e => if (e.name == "Flink") flinkBudget.getOrElse(budget) else budget)
+    sweep(spark, "fig9-selectivity", points, engines, Map(FlinkLike -> 200_000L, Sase -> 10_000_000L))
   }
 
   // ---- Figure 10: number of trend groups ---------------------------------
-  def fig10(spark: SparkSession, groups: Seq[Int], n: Long,
-            budget: Budget = Budget()): Seq[ExpRow] = {
+  def fig10(spark: SparkSession, groups: Seq[Int], n: Long): Seq[ExpRow] = {
     val points = groups.map { g =>
-      (g.toString,
-       EventGen.stream(spark, 2 * n, g, Seq("A" -> 0.5, "B" -> 0.3, "C" -> 0.2),
-                       seed = 17, walkValues = false),
-       2 * n, q3(winFor(n)))
+      val ds = EventGen.stream(spark, 2 * n, g, Seq("A" -> 0.5, "B" -> 0.3, "C" -> 0.2), 17, walkValues = false)
+      (g.toString, ds, 2 * n, q3(winFor(n)))
     }
-    sweep(spark, "fig10-grouping", points, Engines.all, _ => budget)
+    sweep(spark, "fig10-grouping", points, Engines.all, Map(FlinkLike -> 10_000_000L, Sase -> 2_000_000L))
   }
 
   // ---- Table 9: expressive power matrix ----------------------------------
@@ -181,24 +180,18 @@ object Experiments {
       }
     }
 
-  // ---- reporting ----------------------------------------------------------
+  // ---- reporting: bench suites and `jobs/Exhibit` print this table ------
   def markdown(rows: Seq[ExpRow]): String = {
     val header =
-      "| fig | engine | x | events | windows | wall ms | compute ms | lat ms/win | evt/s | mem units | trends | count | DNF |\n" +
-      "|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
+      "| fig | engine | x | events | windows | wall ms | compute ms | lat ms/win | evt/s | mem units | trends | max work/win | count | DNF |\n" +
+      "|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n"
     header + rows.map { r =>
       if (r.dnf)
-        f"| ${r.fig} | ${r.engine} | ${r.x} | ${r.events} | - | - | - | - | - | - | - | - | DNF |"
+        f"| ${r.fig} | ${r.engine} | ${r.x} | ${r.events} | - | - | - | - | - | - | - | - | - | DNF |"
       else
         f"| ${r.fig} | ${r.engine} | ${r.x} | ${r.events} | ${r.windows} | ${r.wallMs}%.0f " +
         f"| ${r.computeMs}%.1f | ${r.latencyMsPerWin}%.2f | ${r.throughputEvS}%.0f " +
-        f"| ${r.memUnits} | ${r.trends} | ${r.totalCount}%.4g |  |"
+        f"| ${r.memUnits} | ${r.trends} | ${r.work} | ${r.totalCount}%.4g |  |"
     }.mkString("\n")
-  }
-
-  def printRows(rows: Seq[ExpRow]): Unit = {
-    // println is the delivery channel: bench suites run under `sbt bench/test`
-    // whose captured output is the experiment record (EXPERIMENTS.md source).
-    println(markdown(rows))
   }
 }

@@ -1,19 +1,47 @@
 package repro.streams
 
-import org.apache.spark.sql.{Column, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core.Ev
+import scala.util.chaining._
 
 /** Synthetic event-stream generators standing in for the paper's three
   * data sets (§9.1); see DESIGN.md §2 for the substitution rationale.
   *
-  * All generators are deterministic in (n, seed), emit one event per second
+  * All generators are deterministic in (n, seed): every draw is a
+  * counter-based hash of (seed, sid, draw index), so the rows do not depend
+  * on how Spark partitions the stream. They emit one event per second
   * (time = sid), and assign groups pseudo-randomly so substreams interleave
   * like real multiplexed streams. Values are either a per-group random walk
   * (heart rates, stock prices) or i.i.d. uniform (waiting times).
   */
 object EventGen {
+
+  /** Draw `k` of event `i`, uniform in [0, 1): a SplitMix64 finalizer of
+    * (seed, i, k) (Steele, Lea & Flood, OOPSLA 2014). */
+  private def unit(seed: Long, i: Long, k: Int): Double = {
+    var z = seed * 0x9E3779B97F4A7C15L + i * 0xD1B54A32D192ED03L + k * 0x8CB92BA72F3D8DD7L
+    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
+    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
+    ((z ^ (z >>> 31)) >>> 11) * (1.0 / (1L << 53))
+  }
+
+  /** One stream. Event `i` draws its group (k = 0), its type (1) and its
+    * walk step or uniform value (2). `slice` generates events `from` until
+    * `until`: `walk` holds each group's value before `from` (100 before sid
+    * 0) and is advanced in place, one step per event. */
+  private[streams] final case class Spec(nGroups: Int, typeWeights: Seq[(String, Double)],
+                                         seed: Long, walkValues: Boolean) {
+    private val names = Array.tabulate(nGroups)(g => s"g$g")
+    private val cum = typeWeights.scanLeft(("", 0.0)) { case ((_, acc), (t, w)) => (t, acc + w) }.tail
+    def slice(from: Long, until: Long, walk: Array[Double]): Iterator[Ev] =
+      (from until until).iterator.map { i =>
+        val g = (unit(seed, i, 0) * nGroups).toInt
+        val u = unit(seed, i, 1)
+        val step = unit(seed, i, 2) * 100.0
+        if (walkValues) walk(g) += step - 50.0
+        Ev(i, i, cum.find(u < _._2).getOrElse(cum.last)._1, names(g), if (walkValues) walk(g) else step)
+      }
+  }
 
   /** Core generator.
     *
@@ -25,26 +53,22 @@ object EventGen {
   def stream(spark: SparkSession, n: Long, nGroups: Int,
              typeWeights: Seq[(String, Double)], seed: Long,
              walkValues: Boolean): Dataset[Ev] = {
-    import spark.implicits._
     require(math.abs(typeWeights.map(_._2).sum - 1.0) < 1e-9, "type weights must sum to 1")
-    val cum = typeWeights.scanLeft(("", 0.0)) { case ((_, acc), (t, w)) => (t, acc + w) }.tail
-    val r = rand(seed + 1)
-    val typeCol: Column = cum.init.foldRight(lit(cum.last._1)) { case ((t, c), rest) =>
-      when(r < c, lit(t)).otherwise(rest)
+    sliced(spark, Spec(nGroups, typeWeights, seed, walkValues), n, spark.sparkContext.defaultParallelism)
+  }
+
+  /** The stream cut into `slices` sid ranges, one Spark partition each. The
+    * driver walks the stream once for each slice's starting walk values;
+    * each task regenerates its own slice from them. */
+  private[streams] def sliced(spark: SparkSession, spec: Spec, n: Long, slices: Int): Dataset[Ev] = {
+    import spark.implicits._
+    val bounds = (0 to slices).map(p => p * n / slices)
+    val walk = Array.fill(spec.nGroups)(100.0)
+    val starts = bounds.init.zip(bounds.tail).map { case (from, until) =>
+      walk.clone().tap(_ => spec.slice(from, until, walk).foreach(_ => ()))
     }
-    val base = spark.range(n).select(
-      $"id" as "sid",
-      $"id" as "time",
-      typeCol as "etype",
-      concat(lit("g"), (rand(seed) * nGroups).cast("int")) as "group",
-      (rand(seed + 2) * 100.0) as "step")
-    val withValue =
-      if (walkValues)
-        base.withColumn("value",
-          lit(100.0) + sum(col("step") - 50.0)
-            .over(Window.partitionBy("group").orderBy("sid")))
-      else base.withColumn("value", col("step"))
-    withValue.select($"sid", $"time", $"etype", $"group", $"value").as[Ev]
+    spark.sparkContext.parallelize(0 until slices, slices).toDS()
+      .flatMap(p => spec.slice(bounds(p), bounds(p + 1), starts(p).clone()))
   }
 
   /** Share of irrelevant X reports in the activity stream. */

@@ -103,13 +103,31 @@ class EnginesSpec extends AnyFunSuite {
   test("two-step engines DNF when the trend budget is exhausted") {
     val q = TrendQuery.local(plus(tp("A")), Semantics.ANY)
     val evs = Vector.tabulate(24)(i => Ev(i + 1L, "A")) // 2^24-1 trends
-    val tiny = Budget(maxTrends = 1000, maxUnits = 100_000, maxMillis = 60_000)
+    val tiny = Budget(maxWork = 10_000)
     assert(Sase.run(evs, q, tiny).dnf)
     assert(FlinkLike.run(evs, q, tiny).dnf)
     // online engines are unaffected by the same budget
     assert(!ASeq.run(evs, q, tiny).dnf)
     assert(!Greta.run(evs, q, tiny).dnf)
     assert(!Engines.CograEngine.run(evs, q, tiny).dnf)
+  }
+
+  test("a cap equal to a run's own work finishes, and one less DNFs") {
+    val p = seq(plus(tp("A")), tp("B"))
+    val evs = randomStream(16, 7)
+    val runs = Seq(
+      "Flink ANY" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
+      "Flink CONT" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery.local(p, Semantics.CONT), b)),
+      "SASE ANY" -> ((b: Budget) => Sase.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
+      "SASE NEXT" -> ((b: Budget) => Sase.run(evs, TrendQuery.local(p, Semantics.NEXT), b)),
+      "GRETA" -> ((b: Budget) => Greta.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
+      "A-Seq" -> ((b: Budget) => ASeq.run(evs, TrendQuery.local(p, Semantics.ANY), b)))
+    for ((name, run) <- runs) {
+      val free = run(budget)
+      assert(!free.dnf && free.work > 0, name)
+      assert(run(Budget(free.work)) == free, name)
+      assert(run(Budget(free.work - 1)).dnf, name)
+    }
   }
 
   test("online engines agree with Cogra on large-ish exponential counts") {

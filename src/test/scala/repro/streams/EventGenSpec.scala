@@ -16,6 +16,31 @@ class EventGenSpec extends SparkSpec {
     assert(a != c)
   }
 
+  test("rows are a function of (n, seed) alone: any slicing or parallelism equals one sequential pass") {
+    val n = 5000L
+    val specs = Seq(
+      (EventGen.stock(spark, n, 19, seed = 13), EventGen.Spec(19, Seq("A" -> 0.75, "B" -> 0.25), 13, walkValues = true)),
+      (EventGen.transport(spark, n, 30, seed = 17),
+       EventGen.Spec(30, Seq("A" -> 0.5, "B" -> 0.3, "C" -> 0.2), 17, walkValues = false)),
+      (EventGen.stream(spark, n, 7, Seq("M" -> 0.6, "X" -> 0.4), seed = 3, walkValues = true),
+       EventGen.Spec(7, Seq("M" -> 0.6, "X" -> 0.4), 3, walkValues = true)))
+    for ((ds, spec) <- specs) {
+      val sequential = spec.slice(0, n, Array.fill(spec.nGroups)(100.0)).toSeq
+      assert(sequential.map(_.sid) == (0L until n))
+      assert(ds.collect().toSeq.sortBy(_.sid) == sequential)
+      for (slices <- Seq(1, 3, 16))
+        assert(EventGen.sliced(spark, spec, n, slices).collect().toSeq == sequential, s"$spec $slices")
+    }
+    // the same public call at two leaf parallelisms
+    val leaf = "spark.sql.leafNodeDefaultParallelism"
+    val rows = Seq("1", "5").map { p =>
+      spark.conf.set(leaf, p)
+      try EventGen.stock(spark, n, 19, seed = 13).collect().toSeq.sortBy(_.sid)
+      finally spark.conf.unset(leaf)
+    }
+    assert(rows(0) == rows(1))
+  }
+
   test("times are unique, increasing, and equal to sids (one event per second)") {
     val evs = EventGen.transport(spark, 400, 30, seed = 17).collect().sortBy(_.sid)
     assert(evs.map(_.time).distinct.length == evs.length)
