@@ -16,15 +16,16 @@ final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, lo: Lo
   * in time order (§8), so its open windows are all the state it needs: the
   * state is keyed on the group column ([[Substreams.byGroup]],
   * `flatMapGroupsWithState`, Update mode, no timeout, no watermark), and
-  * each event is shuffled once. A micro-batch sorts a group's events by
-  * (time, sid), restores its open windows' aggregators and pushes the
-  * events through the batch path's cutter ([[Substreams.Windows]]);
-  * windows an event closes leave the state. It emits the running aggregate
-  * of every window that got events in the micro-batch, those it closed
-  * included, and writes back the open ones. An event not after its group's
-  * last processed (time, sid) from an earlier micro-batch fails the
-  * micro-batch (`IllegalArgumentException`) rather than being folded in as
-  * the newest.
+  * each input partition's events of a group cross the shuffle as one
+  * [[Block]]. A micro-batch merges a group's blocks into its events in
+  * (time, sid) order ([[Block.merge]]), restores its open windows'
+  * aggregators and pushes the events through the batch path's cutter
+  * ([[Substreams.Windows]]); windows an event closes leave the state. It
+  * emits the running aggregate of every window that got events in the
+  * micro-batch, those it closed included, and writes back the open ones.
+  * An event not after its group's last processed (time, sid) from an
+  * earlier micro-batch fails the micro-batch (`IllegalArgumentException`)
+  * rather than being folded in as the newest.
   */
 object CograStream {
 
@@ -40,8 +41,8 @@ object CograStream {
     import events.sparkSession.implicits._
     Substreams.byGroup(events)
       .flatMapGroupsWithState[CograState[S], WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
-        (group: String, it: Iterator[Ev], state: GroupState[CograState[S]]) =>
-          val evs = it.toArray.sorted
+        (group: String, blocks: Iterator[Block], state: GroupState[CograState[S]]) =>
+          val evs = Block.merge(group, blocks)
           val out = mutable.ArrayBuffer.empty[WinResult]
           var fed = false // restored windows closed by the first event got none of this batch's events
           val windows = new Substreams.Windows[TrendAggregator[S]](q.window, () => aggregator(None), _.onEvent(_),

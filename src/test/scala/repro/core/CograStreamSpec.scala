@@ -3,6 +3,7 @@ package repro.core
 import java.nio.file.Files
 import org.apache.spark.sql.Dataset
 import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.streaming.operators.stateful.flatmapgroupswithstate.FlatMapGroupsWithStateExec
 import org.apache.spark.sql.execution.streaming.runtime.{MemoryStream, StreamingQueryWrapper}
 import org.apache.spark.sql.streaming.{StreamingQueryException, StreamingQueryProgress}
@@ -101,6 +102,11 @@ class CograStreamSpec extends SparkSpec {
     assert(run.plan.collect { case p if p.nodeName.startsWith("AppendColumns") => p }.isEmpty, run.plan)
     val grouped = run.plan.collect { case p: FlatMapGroupsWithStateExec => p.groupingAttributes.map(_.name) }
     assert(grouped == Seq(Seq("group")), run.plan)
+    val shuffles = run.plan.collect { case s: ShuffleExchangeExec => s }
+    assert(shuffles.size == 1, run.plan)
+    // fig2's 8 events are all in group g
+    val (records, mappers) = (shuffles.head.metrics("shuffleRecordsWritten").value, shuffles.head.numMappers)
+    assert(records > 0 && records <= mappers * 1, s"$records records written for $mappers partitions × 1 group")
   }
 
   test("streaming == batch across granularities on a generated stream") {

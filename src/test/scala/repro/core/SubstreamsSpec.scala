@@ -12,7 +12,8 @@ import scala.util.Random
 /** Differential test of the batch substreams: `Substreams.map` must yield
   * exactly the driver-side reference, each event exploded into
   * `windowsOf(time)` and each (group, window) stably sorted by (time, sid):
-  * the same key set, and the same event sequence per key. */
+  * the same key set, and the same event sequence per key, however the
+  * input is partitioned into blocks. */
 class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
@@ -22,18 +23,18 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     evs.flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
       .groupBy(_._1).map { case (k, kv) => k -> kv.map(_._2).sortBy(e => (e.time, e.sid)) }
 
-  /** The substreams of `evs`, read in shuffled order from three partitions. */
-  private def substreams(evs: Seq[Ev], win: WindowSpec, seed: Int): Subs = {
-    val ds = spark.sparkContext.parallelize(new Random(seed).shuffle(evs), 3).toDS()
+  /** The substreams of `evs`, read in shuffled order from `parts` partitions. */
+  private def substreams(evs: Seq[Ev], win: WindowSpec, seed: Int, parts: Int): Subs = {
+    val ds = spark.sparkContext.parallelize(new Random(seed).shuffle(evs), parts).toDS()
     val rows = Substreams.map(ds, win)((g, w, s) => (g, w, s: Seq[Ev])).collect()
     assert(rows.forall(_._3.nonEmpty), "an empty substream was emitted")
     assert(rows.map(r => (r._1, r._2)).distinct.length == rows.length, "a substream was emitted twice")
     rows.map(r => (r._1, r._2) -> r._3).toMap
   }
 
-  private def check(evs: Seq[Ev], win: WindowSpec, seed: Int = 1): Subs = {
-    val got = substreams(evs, win, seed)
-    assert(got == reference(evs, win), s"window $win")
+  private def check(evs: Seq[Ev], win: WindowSpec, seed: Int = 1, parts: Int = 3): Subs = {
+    val got = substreams(evs, win, seed, parts)
+    assert(got == reference(evs, win), s"window $win, $parts partitions")
     got
   }
 
@@ -56,35 +57,57 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   }
 
   test("random streams, groups and windows: the reference substreams") {
-    // at one shuffle partition every group shares one task
+    // at one shuffle partition every group shares one task; at 3 and 8 input
+    // partitions a group's events are split over blocks, out of (time, sid)
+    // order
     val partitions = spark.conf.get("spark.sql.shuffle.partitions")
     try {
-      for (shuffle <- Seq(partitions, "1")) {
+      for (shuffle <- Seq(partitions, "1"); parts <- Seq(1, 3, 8)) {
         spark.conf.set("spark.sql.shuffle.partitions", shuffle)
         val r = new Random(17)
         for (trial <- 0 until 24) {
           val size = 1 + r.nextInt(12)
           val slide = if (trial % 3 == 0) size else 1 + r.nextInt(size)
           val win = WindowSpec(size, slide)
-          check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial)
+          check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial, parts)
         }
       }
     } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
   }
 
-  test("both batch drivers shuffle each event once, hash-partitioned on the group alone") {
+  test("both batch drivers shuffle one block per (input partition, group), hash-partitioned on the group alone") {
     val evs = stream(new Random(6), 200, 3, 7)
     val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"), WindowSpec(7, 3))
-    for (ds <- Seq(CograBatch.run(spark, evs.toDS(), q),
-                   SparkRunner.run(spark, evs.toDS(), q, Greta, Budget()))) {
+    def input = spark.sparkContext.parallelize(evs, 3).toDS()
+    for (ds <- Seq(CograBatch.run(spark, input, q), SparkRunner.run(spark, input, q, Greta, Budget()))) {
       ds.collect()
       val shuffles = collect(ds.queryExecution.executedPlan) { case s: ShuffleExchangeExec => s }
       assert(shuffles.size == 1, ds.queryExecution.executedPlan)
-      shuffles.head.outputPartitioning match {
+      val shuffle = shuffles.head
+      shuffle.outputPartitioning match {
         case h: HashPartitioning => assert(h.expressions.map(_.asInstanceOf[Attribute].name) == Seq("group"))
         case p => fail(s"not hash-partitioned: $p")
       }
+      val records = shuffle.metrics("shuffleRecordsWritten").value
+      assert(shuffle.numMappers == 3)
+      assert(records > 0 && records <= 3 * 3, s"$records records written for 3 partitions × 3 groups")
     }
+  }
+
+  test("Block.of then Block.merge: each group's events in (time, sid) order, type names kept") {
+    val r = new Random(8)
+    // C is no pattern type but breaks CONT contiguity, so it must keep its name
+    val evs = stream(r, 300, 4, 5).map(e => if (r.nextInt(5) == 0) e.copy(etype = "C") else e)
+    val blocks = r.shuffle(evs).grouped(37).flatMap(chunk => Block.of(chunk.iterator)).toSeq
+    assert(blocks.groupBy(_.group).values.exists(_.map(_.types.toSeq).distinct.size > 1),
+      "no group's blocks saw its types in different orders")
+    for ((g, bs) <- blocks.groupBy(_.group)) {
+      assert(bs.forall(b => b.types.distinct.length == b.types.length))
+      val merged = Block.merge(g, r.shuffle(bs).iterator).toSeq
+      assert(merged == evs.filter(_.group == g).sortBy(e => (e.time, e.sid)), g)
+      assert(merged.exists(_.etype == "C"), g)
+    }
+    assert(Block.merge("g", Iterator.empty).isEmpty)
   }
 
   test("several groups, each cut into its own windows") {
