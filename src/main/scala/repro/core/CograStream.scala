@@ -2,13 +2,13 @@ package repro.core
 
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import scala.reflect.runtime.universe.TypeTag
 
-/** A group's streaming state: its last processed event's (time, sid), the id
-  * of its oldest open window, and one granularity snapshot per open window,
-  * oldest first. */
-final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, lo: Long, windows: Seq[S])
+/** A group's streaming state: its last processed event's (time, sid) and one
+  * granularity snapshot per open window, keyed by window id. */
+final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, windows: Map[Long, S])
 
 /** Structured Streaming driver for Cogra.
   *
@@ -18,14 +18,15 @@ final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, lo: Lo
   * `flatMapGroupsWithState`, Update mode, no timeout, no watermark), and
   * each input partition's events of a group cross the shuffle as one
   * [[Block]]. A micro-batch merges a group's blocks into its events in
-  * (time, sid) order ([[Block.merge]]), restores its open windows'
-  * aggregators and pushes the events through the batch path's cutter
-  * ([[Substreams.Windows]]); windows an event closes leave the state. It
-  * emits the running aggregate of every window that got events in the
-  * micro-batch, those it closed included, and writes back the open ones.
-  * An event not after its group's last processed (time, sid) from an
-  * earlier micro-batch fails the micro-batch (`IllegalArgumentException`)
-  * rather than being folded in as the newest.
+  * (time, sid) order ([[Block.merge]]) and cuts them into windows with the
+  * batch path's [[Substreams.cut]]. Each window's range of events runs
+  * through its aggregator, restored if the window was open, new otherwise.
+  * It emits the running aggregate of every window that got events in the
+  * micro-batch, and keeps the snapshot of those that hold its last event,
+  * which are the ones still open; any other window leaves the state. An
+  * event not after its group's last processed (time, sid) from an earlier
+  * micro-batch fails the micro-batch (`IllegalArgumentException`) rather
+  * than being folded in as the newest.
   */
 object CograStream {
 
@@ -43,20 +44,22 @@ object CograStream {
       .flatMapGroupsWithState[CograState[S], WinResult](OutputMode.Update, GroupStateTimeout.NoTimeout) {
         (group: String, blocks: Iterator[Block], state: GroupState[CograState[S]]) =>
           val evs = Block.merge(group, blocks)
-          val out = mutable.ArrayBuffer.empty[WinResult]
-          var fed = false // restored windows closed by the first event got none of this batch's events
-          val windows = new Substreams.Windows[TrendAggregator[S]](q.window, () => aggregator(None), _.onEvent(_),
-            (wid, a) => if (fed) { val r = a.result; out += WinResult(group, wid, r.count, r.countE, r.sum, r.min, r.max, r.avg) })
-          state.getOption.foreach { s =>
+          val open = state.getOption.fold(Map.empty[Long, S]) { s =>
             val e = evs.head
             require(e.time > s.lastTime || (e.time == s.lastTime && e.sid > s.lastSid),
               s"late event $e: not after group $group's last processed (time, sid) (${s.lastTime}, ${s.lastSid})")
-            windows.lo = s.lo
-            windows.open ++= s.windows.map(w => aggregator(Some(w)))
+            s.windows
           }
-          evs.foreach { e => windows.push(e); fed = true }
-          state.update(CograState(evs.last.time, evs.last.sid, windows.lo, windows.open.map(_.snapshot).toSeq))
-          windows.closeAll()
+          val out = mutable.ArrayBuffer.empty[WinResult]
+          val kept = Map.newBuilder[Long, S]
+          Substreams.cut(evs, q.window) { (wid, from, until) =>
+            val a = aggregator(open.get(wid))
+            a.onEvents(ArraySeq.unsafeWrapArray(evs.slice(from, until)))
+            val r = a.result
+            out += WinResult(group, wid, r.count, r.countE, r.sum, r.min, r.max, r.avg)
+            if (until == evs.length) kept += wid -> a.snapshot
+          }
+          state.update(CograState(evs.last.time, evs.last.sid, kept.result()))
           out.iterator
       }
   }

@@ -53,16 +53,17 @@ object Block {
   * one [[Block]] per group, Spark shuffles the blocks once, on their group
   * column, and hands a group's blocks to one function call. That call
   * merges them into the group's (time, sid)-ordered events
-  * ([[Block.merge]]) and cuts them with one cutter, [[Substreams.Windows]]:
+  * ([[Block.merge]]), in which each window's events are one contiguous
+  * range, and [[Substreams.cut]] names the ranges:
   *
-  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`): the cutter
-  *    collects each window's events into a buffer. A substream is an
-  *    immutable `ArraySeq[Ev]` in (time, sid) order, built only here; every
-  *    consumer (`TrendAggregator.onEvents`, `Cogra.run`, `TrendEngine.run`)
-  *    takes it as it is, without a copy.
-  *  - Streaming (`CograStream`): `flatMapGroupsWithState`; a group's open
-  *    windows hold live aggregators, restored from and written back to the
-  *    group's one state row.
+  *  - Batch (`map`, shared by `CograBatch` and `SparkRunner`): each window
+  *    gets a copy of its range. A substream is an immutable `ArraySeq[Ev]`
+  *    in (time, sid) order, built only here; every consumer
+  *    (`TrendAggregator.onEvents`, `Cogra.run`, `TrendEngine.run`) takes it
+  *    as it is, without a copy.
+  *  - Streaming (`CograStream`): `flatMapGroupsWithState`; each range runs
+  *    through its window's aggregator, restored from the group's one state
+  *    row if the window was open.
   */
 object Substreams {
 
@@ -76,43 +77,32 @@ object Substreams {
   /** One output row per non-empty substream: `f(group, wid, events)`. */
   def map[R: Encoder](events: Dataset[Ev], win: WindowSpec)(f: (String, Long, ArraySeq[Ev]) => R): Dataset[R] =
     byGroup(events).flatMapGroups { (g, blocks) =>
+      val evs = Block.merge(g, blocks)
       val out = mutable.ArrayBuffer.empty[R]
-      val windows = new Windows[mutable.ArrayBuilder[Ev]](win, () => mutable.ArrayBuilder.make[Ev],
-        _ += _, (wid, b) => out += f(g, wid, ArraySeq.unsafeWrapArray(b.result())))
-      Block.merge(g, blocks).foreach(windows.push)
-      windows.closeAll()
+      cut(evs, win)((wid, from, until) => out += f(g, wid, ArraySeq.unsafeWrapArray(evs.slice(from, until))))
       out
     }
 
-  /** The open windows of one group, pushed its events in (time, sid) order:
-    * the consecutive window ids `lo`, `lo + slide`, ..., oldest first, each
-    * holding a `W` made by `make`. An event first hands every window that
-    * ends at or before its time to `closed`, then opens the windows after
-    * the newest up to its `lastWindow`, so the open windows are exactly
-    * those that hold it, and is fed to each. A window is opened only by an
-    * event it holds. No id past the newest open window is computed, so
-    * windows near `Long.MaxValue` do not overflow. */
-  private[core] final class Windows[W](win: WindowSpec, make: () => W, feed: (W, Ev) => Unit,
-                                       closed: (Long, W) => Unit) {
-    val open = mutable.ArrayDeque.empty[W]
-    /** The id of the oldest open window. */
-    var lo = 0L
-
-    def push(e: Ev): Unit = {
-      val first = win.firstWindow(e.time)
-      val last = win.lastWindow(e.time)
-      while (open.nonEmpty && lo < first) close()
-      if (open.isEmpty) { lo = first; open += make() }
-      while (lo + (open.size - 1) * win.slide < last) open += make()
-      var i = 0
-      while (i < open.size) { feed(open(i), e); i += 1 }
-    }
-
-    def closeAll(): Unit = while (open.nonEmpty) close()
-
-    private def close(): Unit = {
-      closed(lo, open.removeHead())
-      if (open.nonEmpty) lo += win.slide
+  /** The windows of a group's events `evs`, sorted by (time, sid): calls
+    * `f(wid, from, until)` once per window that holds an event, oldest
+    * first, and that window's events are `evs(from until until)`. An event
+    * at time `t` is in window `wid` if `wid <= t` and `t - wid < size`; no
+    * window end and no id past the last event's `lastWindow` is computed,
+    * so ids near `Long.MaxValue` do not overflow. A negative time fails
+    * (`WindowSpec.firstWindow`). */
+  def cut(evs: Array[Ev], win: WindowSpec)(f: (Long, Int, Int) => Unit): Unit = if (evs.nonEmpty) {
+    val last = win.lastWindow(evs.last.time)
+    // invariant: window `wid` holds evs(from), and every event before it is older than `wid`
+    var wid = win.firstWindow(evs.head.time)
+    var from, until = 0
+    while (true) {
+      while (until < evs.length && evs(until).time - wid < win.size) until += 1
+      f(wid, from, until)
+      if (wid == last) return
+      wid += win.slide
+      while (evs(from).time < wid) from += 1
+      // skip the empty windows between a gap's ends
+      wid = math.max(wid, win.firstWindow(evs(from).time))
     }
   }
 }

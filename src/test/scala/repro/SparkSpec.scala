@@ -8,10 +8,9 @@ import repro.bench.JobSupport
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM, 48g if it is unset. Broadcast joins are disabled so
+  * shuffle/join papers actually exercise the shuffle path at SF~=0.1;
+  * re-enable per-query if the paper's contribution is the broadcast side.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -22,8 +21,8 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 object SparkSpec {
   lazy val shared: SparkSession = {
     val s = JobSupport.session("repro")
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in test output that shows the heap setting and the
+    // parallelism this run got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

@@ -97,11 +97,9 @@ class CograBatchSpec extends SparkSpec {
     val got = CograBatch.run(spark, ds, q).collect()
       .map(r => (r.group, r.wid) -> r.count).toMap
     val events = ds.collect().sortBy(e => (e.time, e.sid))
-    val want = events
-      .flatMap(e => q.window.windowsOf(e.time).map(w => (e.group, w) -> e))
-      .groupBy(_._1).map { case (k, evs) =>
-        k -> BruteForce.evaluate(evs.map(_._2).toIndexedSeq, q).count
-      }
+    val want = SubstreamsSpec.reference(events, q.window).map { case (k, evs) =>
+      k -> BruteForce.evaluate(evs, q).count
+    }
     // only substreams with at least one finished trend appear on either side
     assert(got.filter(_._2 > 0) == want.filter(_._2 > 0).toMap)
   }
@@ -113,11 +111,9 @@ class CograBatchSpec extends SparkSpec {
     val got = CograBatch.run(spark, ds, q).collect()
       .map(r => (r.group, r.wid) -> r.count).toMap
     val events = ds.collect().sortBy(e => (e.time, e.sid))
-    val want = events
-      .flatMap(e => q.window.windowsOf(e.time).map(w => (e.group, w) -> e))
-      .groupBy(_._1).map { case (k, evs) =>
-        k -> Cogra.run(evs.map(_._2).sortBy(e => (e.time, e.sid)), q).count
-      }
+    val want = SubstreamsSpec.reference(events, q.window).map { case (k, evs) =>
+      k -> Cogra.run(evs, q).count
+    }
     assert(got.filter(_._2 > 0) == want.filter(_._2 > 0).toMap)
   }
 
@@ -134,12 +130,10 @@ class CograBatchSpec extends SparkSpec {
     for (q <- queries) {
       val got = CograBatch.run(spark, ds, q).collect()
         .map(r => (r.group, r.wid) -> (r.count, r.countE, r.sum, r.min, r.max)).toMap
-      val want = events
-        .flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
-        .groupBy(_._1).map { case (k, evs) =>
-          val a = Cogra.run(evs.map(_._2).sortBy(e => (e.time, e.sid)), q)
-          k -> (a.count, a.countE, a.sum, a.min, a.max)
-        }
+      val want = SubstreamsSpec.reference(events, win).map { case (k, evs) =>
+        val a = Cogra.run(evs, q)
+        k -> (a.count, a.countE, a.sum, a.min, a.max)
+      }
       assert(got.values.exists(_._1 > 0), s"$q")
       assert(got == want, s"$q")
     }

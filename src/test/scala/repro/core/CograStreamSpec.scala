@@ -152,9 +152,7 @@ class CograStreamSpec extends SparkSpec {
     // spans, and a long last one
     val cuts = Seq(0L, 60L, 64L, 68L, 72L, 76L, 80L, 160L)
     val chunks = cuts.sliding(2).map { case Seq(a, b) => events.filter(e => e.time >= a && e.time < b) }.toSeq
-    def substreams(evs: Seq[Ev]): Map[(String, Long), Seq[Ev]] =
-      evs.flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
-        .groupBy(_._1).map { case (k, kv) => k -> kv.map(_._2).sortBy(e => (e.time, e.sid)) }
+    def substreams(evs: Seq[Ev]) = SubstreamsSpec.reference(evs, win)
     for (q <- queries(win)) {
       val run = stream(q, chunks)
       assert(run.failure.isEmpty, s"$q")

@@ -7,6 +7,7 @@ import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import repro.SparkSpec
 import repro.baselines.{Budget, Greta, SparkRunner}
 import repro.core.Pattern._
+import scala.collection.mutable
 import scala.util.Random
 
 /** Differential test of the batch substreams: `Substreams.map` must yield
@@ -17,11 +18,9 @@ import scala.util.Random
 class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   import spark.implicits._
 
-  private type Subs = Map[(String, Long), Seq[Ev]]
+  import SubstreamsSpec.reference
 
-  private def reference(evs: Seq[Ev], win: WindowSpec): Subs =
-    evs.flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
-      .groupBy(_._1).map { case (k, kv) => k -> kv.map(_._2).sortBy(e => (e.time, e.sid)) }
+  private type Subs = Map[(String, Long), Seq[Ev]]
 
   /** The substreams of `evs`, read in shuffled order from `parts` partitions. */
   private def substreams(evs: Seq[Ev], win: WindowSpec, seed: Int, parts: Int): Subs = {
@@ -56,6 +55,20 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     }
   }
 
+  /** Inputs at the ends of the id range: streams whose last time is
+    * `Long.MaxValue` under small windows, and the unbounded window
+    * `WindowSpec(Long.MaxValue, Long.MaxValue)` over ordinary times and
+    * over times that reach its second window, `Long.MaxValue`. */
+  private def extremes(r: Random, groups: Int): Seq[(Seq[Ev], WindowSpec)] = {
+    def late(evs: Seq[Ev]): Seq[Ev] = {
+      val d = Long.MaxValue - evs.map(_.time).max
+      evs.map(e => e.copy(time = e.time + d))
+    }
+    val unbounded = WindowSpec(Long.MaxValue, Long.MaxValue)
+    Seq(WindowSpec(7, 3), WindowSpec(5, 5), WindowSpec(10, 4)).map(w => late(stream(r, 60, groups, w.size)) -> w) ++
+      Seq(stream(r, 60, groups, 7) -> unbounded, late(stream(r, 60, groups, 7)) -> unbounded)
+  }
+
   test("random streams, groups and windows: the reference substreams") {
     // at one shuffle partition every group shares one task; at 3 and 8 input
     // partitions a group's events are split over blocks, out of (time, sid)
@@ -71,6 +84,7 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
           val win = WindowSpec(size, slide)
           check(stream(r, r.nextInt(80), 1 + r.nextInt(4), size), win, trial, parts)
         }
+        for (((evs, win), trial) <- extremes(new Random(19), 3).zipWithIndex) check(evs, win, trial, parts)
       }
     } finally spark.conf.set("spark.sql.shuffle.partitions", partitions)
   }
@@ -91,6 +105,25 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
       val records = shuffle.metrics("shuffleRecordsWritten").value
       assert(shuffle.numMappers == 3)
       assert(records > 0 && records <= 3 * 3, s"$records records written for 3 partitions × 3 groups")
+    }
+  }
+
+  test("cut: one range of a group's sorted events per window that holds an event, oldest first") {
+    val r = new Random(23)
+    val random = (0 until 200).map { trial =>
+      val size = 1 + r.nextInt(12)
+      val slide = if (trial % 3 == 0) size else 1 + r.nextInt(size)
+      stream(r, r.nextInt(80), 1, size) -> WindowSpec(size, slide)
+    }
+    for ((input, win) <- random ++ extremes(r, 1)) {
+      val evs = input.sortBy(e => (e.time, e.sid)).toArray
+      val ranges = mutable.ArrayBuffer.empty[(Long, Int, Int)]
+      Substreams.cut(evs, win)((wid, from, until) => ranges += ((wid, from, until)))
+      val wids = ranges.map(_._1)
+      assert(wids.zip(wids.drop(1)).forall { case (a, b) => a < b }, s"window $win: ids not increasing")
+      assert(ranges.forall { case (_, from, until) => from < until }, s"window $win: an empty range")
+      val got = ranges.map { case (wid, from, until) => ("g0", wid) -> evs.slice(from, until).toSeq }.toMap
+      assert(got == reference(evs, win), s"window $win")
     }
   }
 
@@ -145,4 +178,13 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
   test("an empty stream has no substreams") {
     assert(check(Nil, WindowSpec(10, 5)).isEmpty)
   }
+}
+
+object SubstreamsSpec {
+  /** The substreams of `evs` by their definition: each event exploded into
+    * `windowsOf(time)`, and each (group, window) stably sorted by
+    * (time, sid). */
+  def reference(evs: collection.Seq[Ev], win: WindowSpec): Map[(String, Long), IndexedSeq[Ev]] =
+    evs.toVector.flatMap(e => win.windowsOf(e.time).map(w => (e.group, w) -> e))
+      .groupBy(_._1).map { case (k, kv) => k -> kv.map(_._2).sortBy(e => (e.time, e.sid)) }
 }
