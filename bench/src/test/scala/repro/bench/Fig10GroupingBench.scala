@@ -10,10 +10,7 @@ import repro.SparkSpec
 class Fig10GroupingBench extends SparkSpec {
 
   test("fig10: trend grouping sweep") {
-    // descending: fewer groups = exponentially harder, and the harness
-    // skips an engine's remaining (harder) points after its first DNF
-    val groups = Seq(30, 25, 20, 15, 10, 5)
-    val rows = Experiments.fig10(spark, groups, n = 600L)
+    val rows = Experiments.fig10(spark, Experiments.fig10Points)
     println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)

@@ -9,8 +9,7 @@ import repro.SparkSpec
 class Fig5ContiguousBench extends SparkSpec {
 
   test("fig5: contiguous semantics sweep") {
-    val scales = Seq(10_000L, 50_000L, 100_000L, 200_000L)
-    val rows = Experiments.fig5(spark, scales)
+    val rows = Experiments.fig5(spark, Experiments.fig5Points)
     println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)

@@ -9,8 +9,7 @@ import repro.SparkSpec
 class Fig6NextMatchBench extends SparkSpec {
 
   test("fig6: skip-till-next-match sweep") {
-    val scales = Seq(1_000L, 5_000L, 10_000L, 50_000L, 100_000L)
-    val rows = Experiments.fig6(spark, scales)
+    val rows = Experiments.fig6(spark, Experiments.fig6Points)
     println(Experiments.markdown(rows))
 
     val cogra = rows.filter(_.engine == "Cogra")

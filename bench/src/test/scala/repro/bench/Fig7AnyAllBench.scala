@@ -9,8 +9,7 @@ import repro.SparkSpec
 class Fig7AnyAllBench extends SparkSpec {
 
   test("fig7: skip-till-any-match sweep, all engines") {
-    val scales = Seq(100L, 200L, 400L, 800L, 1_600L)
-    val rows = Experiments.fig7(spark, scales)
+    val rows = Experiments.fig7(spark, Experiments.fig7Points)
     println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)

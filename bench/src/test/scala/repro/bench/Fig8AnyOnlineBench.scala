@@ -9,7 +9,7 @@ import repro.SparkSpec
 class Fig8AnyOnlineBench extends SparkSpec {
 
   test("fig8: skip-till-any-match sweep, online engines") {
-    val scales = Seq(10_000L, 50_000L, 100_000L, 200_000L, 500_000L)
+    val scales = Experiments.fig8Points
     val rows = Experiments.fig8(spark, scales)
     println(Experiments.markdown(rows))
 

@@ -11,8 +11,7 @@ import repro.SparkSpec
 class Fig9SelectivityBench extends SparkSpec {
 
   test("fig9: predicate selectivity sweep") {
-    val sels = Seq(0.1, 0.3, 0.5, 0.7, 0.9)
-    val rows = Experiments.fig9(spark, sels, n = 400L)
+    val rows = Experiments.fig9(spark, Experiments.fig9Points)
     println(Experiments.markdown(rows))
 
     val byEngine = rows.groupBy(_.engine)

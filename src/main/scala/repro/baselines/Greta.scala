@@ -5,11 +5,12 @@ import scala.collection.mutable
 
 /** GRETA baseline (paper §9.1 and [32]): online event trend aggregation
   * under skip-till-any-match at the finest (event) granularity. Every
-  * matched event is kept as a graph node carrying its aggregate; a new
-  * event scans all stored events of its predecessor types (evaluating the
+  * matched event is kept as a graph node `(event, aggregate)`; a new event
+  * scans all stored events of its predecessor types (evaluating the
   * adjacency predicates edge by edge), so time is O(n²) and memory O(n) —
   * the graph-construction overhead the paper's §9.2/§9.4 attribute GRETA's
-  * delays to.
+  * delays to. Events are taken in the order given, so every node is
+  * earlier than the event that visits it.
   */
 object Greta extends TrendEngine {
   val name = "GRETA"
@@ -22,7 +23,7 @@ object Greta extends TrendEngine {
     try {
       val info = q.info
       var work = 0L
-      val nodes = mutable.ArrayBuffer.empty[StoredEv] // the GRETA graph
+      val nodes = mutable.ArrayBuffer.empty[(Ev, Agg)] // the GRETA graph
       var finalAgg = Agg.zero
       for (e <- events) {
         val tpe = e.etype
@@ -32,15 +33,12 @@ object Greta extends TrendEngine {
           var s = if (info.isStart(tpe)) Agg.startUnit else Agg.zero
           val it = nodes.iterator
           while (it.hasNext) {
-            val p = it.next()
-            if (predTs(p.etype) &&
-                (p.time < e.time || (p.time == e.time && p.sid < e.sid)) &&
-                AdjPred.holds(q.adjPreds, p.toEv, e))
-              s = Agg.merge(s, p.agg)
+            val (p, pAgg) = it.next()
+            if (predTs(p.etype) && AdjPred.holds(q.adjPreds, p, e)) s = Agg.merge(s, pAgg)
           }
           val eAgg = Agg.extend(s, e.value, tpe == q.target)
           if (!eAgg.isZero) {
-            nodes += StoredEv(e.sid, e.time, tpe, e.value, eAgg)
+            nodes += ((e, eAgg))
             if (info.isEnd(tpe)) finalAgg = Agg.merge(finalAgg, eAgg)
           }
         }

@@ -81,6 +81,18 @@ object Experiments {
 
   import Pattern._
 
+  /** Each figure's points, the ones EXPERIMENTS.md reports: events per
+    * window (Figures 5–8), predicate selectivities (Figure 9) and trend
+    * groups (Figure 10). The bench suites and `jobs/Exhibit` run these. */
+  val fig5Points: Seq[Long] = Seq(10_000L, 50_000L, 100_000L, 200_000L)
+  val fig6Points: Seq[Long] = Seq(1_000L, 5_000L, 10_000L, 50_000L, 100_000L)
+  val fig7Points: Seq[Long] = Seq(100L, 200L, 400L, 800L, 1_600L)
+  val fig8Points: Seq[Long] = Seq(10_000L, 50_000L, 100_000L, 200_000L, 500_000L)
+  val fig9Points: Seq[Double] = Seq(0.1, 0.3, 0.5, 0.7, 0.9)
+  // descending: fewer groups are exponentially harder for the two-step
+  // engines, and the harness skips an engine's remaining points after DNF
+  val fig10Points: Seq[Int] = Seq(30, 25, 20, 15, 10, 5)
+
   // ---- Figure 5: contiguous semantics, q1-style, activity data ----------
   // PATTERN M+  SEMANTICS contiguous  WHERE M.rate < NEXT(M).rate, 14 groups
   def q1(win: WindowSpec): TrendQuery =
@@ -123,7 +135,7 @@ object Experiments {
           Map(Greta -> 100_000_000L, ASeq -> 50_000_000L))
 
   // ---- Figure 9: predicate selectivity (ANY + adjacency predicate) ------
-  def fig9(spark: SparkSession, selectivities: Seq[Double], n: Long): Seq[ExpRow] = {
+  def fig9(spark: SparkSession, selectivities: Seq[Double], n: Long = 400L): Seq[ExpRow] = {
     val ds = EventGen.stock(spark, 2 * n, 19, seed = 13)
     val points = selectivities.map { s =>
       (f"$s%.1f", ds, 2 * n, q3(winFor(n), Seq(AdjPred.Sel("A", "A", s))))
@@ -133,7 +145,7 @@ object Experiments {
   }
 
   // ---- Figure 10: number of trend groups ---------------------------------
-  def fig10(spark: SparkSession, groups: Seq[Int], n: Long): Seq[ExpRow] = {
+  def fig10(spark: SparkSession, groups: Seq[Int], n: Long = 600L): Seq[ExpRow] = {
     val points = groups.map { g =>
       val ds = EventGen.stream(spark, 2 * n, g, Seq("A" -> 0.5, "B" -> 0.3, "C" -> 0.2), 17, walkValues = false)
       (g.toString, ds, 2 * n, q3(winFor(n)))

@@ -9,6 +9,5 @@ object JobSupport {
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(app)
       .config("spark.sql.shuffle.partitions", 64)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
 }

@@ -1,13 +1,10 @@
 package repro.core
 
-/** A matched event retained by the mixed-grained aggregator (type in T_e),
-  * together with its event-grained aggregate. */
-final case class StoredEv(sid: Long, time: Long, etype: String, value: Double, agg: Agg)
-    extends Serializable {
-  /** Reconstruct an event view for predicate evaluation (group is
-    * irrelevant inside a substream). */
-  def toEv: Ev = Ev(sid, time, etype, "", value)
-}
+/** A matched event retained in a snapshot, as its algorithm reads it: its
+  * type and value, which adjacent-event predicates test, and its
+  * event-grained aggregate. It has no time or sid: a stored event is earlier
+  * than every event that comes after it in the substream. */
+final case class StoredEv(etype: String, value: Double, agg: Agg) extends Serializable
 
 /** Serializable snapshot of a Cogra aggregator's state: one open window
   * inside a group's state row ([[CograState]]), which `CograStream` persists

@@ -26,7 +26,8 @@ final case class CograState[S <: AggState](lastTime: Long, lastSid: Long, window
   * which are the ones still open; any other window leaves the state. An
   * event not after its group's last processed (time, sid) from an earlier
   * micro-batch fails the micro-batch (`IllegalArgumentException`) rather
-  * than being folded in as the newest.
+  * than being folded in as the newest, as a repeated (time, sid) within the
+  * micro-batch does ([[Block.merge]]).
   */
 object CograStream {
 

@@ -4,7 +4,10 @@ package repro.core
   *
   * @param sid   deterministic sequence id; breaks timestamp ties so every
   *              substream has a total order (stands in for the paper's
-  *              stream transactions, §8)
+  *              stream transactions, §8). A group's events are sorted by
+  *              (time, sid) once, and a repeated pair is rejected
+  *              ([[Block.merge]]); aggregators and baselines then take a
+  *              substream in the order given
   * @param time  application time stamp (seconds, non-negative)
   * @param etype event type name (paper: e.type)
   * @param group value of the grouping / equivalence-predicate attributes;

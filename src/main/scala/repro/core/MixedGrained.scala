@@ -11,9 +11,8 @@ package repro.core
   * [[ValueIndex]], which merges that pair's adjacent predecessors in
   * O(log n_e): time O(n·(t + log n_e)) for such queries, against the paper's
   * O(n·(t+n_e)) scan, with the same results. A pair with any other predicate
-  * (`AdjPred.Sel`) scans the stored events; so does an event that does not
-  * come after every stored event in (time, sid) order, since only earlier
-  * events can be adjacent to it.
+  * (`AdjPred.Sel`) scans the stored events. Events arrive in their
+  * substream's order, so every stored event is earlier than the current one.
   */
 final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
     extends TrendAggregator[MixedState] {
@@ -28,19 +27,16 @@ final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
   private val slots = AggBuf.zeros(plan.n) // T_t types only
   // the stored T_e events, column-wise in arrival order; aggregates at `j * Width`
   private var stored = 0
-  private var sids = Array.emptyLongArray
-  private var times = Array.emptyLongArray
   private var types = Array.emptyIntArray
   private var values = Array.emptyDoubleArray
   private var aggs = Array.emptyDoubleArray
-  private var lastTime, lastSid = Long.MinValue // the latest stored event
   private val index = new Array[ValueIndex](plan.n)
   private val acc = new AggBuf
   private val finalAgg = new AggBuf // used when end(P) is event-grained (line 14)
 
   restore.foreach { s =>
     s.typeAggs.foreach { case (t, a) => AggBuf.write(slots, plan.id(t) * Width, a) }
-    s.events.foreach { p => acc.set(p.agg); store(p.sid, p.time, plan.id(p.etype), p.value) }
+    s.events.foreach { p => acc.set(p.agg); store(plan.id(p.etype), p.value) }
     finalAgg.set(s.finalAgg)
   }
 
@@ -49,26 +45,23 @@ final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
     if (t < 0) return
     val v = e.value
     acc.reset(t == plan.start)
-    val after = e.time > lastTime || (e.time == lastTime && e.sid > lastSid)
     val ps = plan.preds(t)
     var scan = false
     var i = 0
     while (i < ps.length) {
       val p = ps(i)
       if (!plan.eventGrained(p)) acc.add(slots, p * Width) // type-grained predecessors (line 8)
-      else if (after && plan.ranged(p, t)) { if (index(p) != null) index(p).query(plan.mask(p, t), v, acc) }
+      else if (plan.ranged(p, t)) { if (index(p) != null) index(p).query(plan.mask(p, t), v, acc) }
       else scan = true
       i += 1
     }
-    // event-grained predecessors: only stored events adjacent to e, i.e.
-    // earlier and satisfying the predicates (lines 9–10)
+    // event-grained predecessors of non-ranged pairs: the stored events
+    // satisfying the predicates (lines 9–10)
     if (scan) {
       var j = 0
       while (j < stored) {
         val p = types(j)
-        if (plan.follows(p, t) && !(after && plan.ranged(p, t)) &&
-            (times(j) < e.time || (times(j) == e.time && sids(j) < e.sid)) &&
-            plan.holds(p, t, values(j), v))
+        if (plan.follows(p, t) && !plan.ranged(p, t) && plan.holds(p, t, values(j), v))
           acc.add(aggs, j * Width)
         j += 1
       }
@@ -79,7 +72,7 @@ final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
     } else {
       // store only events that end at least one trend — zero-count events
       // can never contribute to a successor (counts are immutable)
-      if (acc.count != 0) store(e.sid, e.time, t, v)
+      if (acc.count != 0) store(t, v)
       if (t == plan.end) finalAgg.add(acc) // line 14
     }
   }
@@ -90,19 +83,16 @@ final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
   }
 
   /** Store an event of T_e type t whose aggregate is `acc`. */
-  private def store(sid: Long, time: Long, t: Int, v: Double): Unit = {
-    if (stored == sids.length) {
+  private def store(t: Int, v: Double): Unit = {
+    if (stored == types.length) {
       val cap = math.max(8, 2 * stored)
-      sids = java.util.Arrays.copyOf(sids, cap)
-      times = java.util.Arrays.copyOf(times, cap)
       types = java.util.Arrays.copyOf(types, cap)
       values = java.util.Arrays.copyOf(values, cap)
       aggs = java.util.Arrays.copyOf(aggs, cap * Width)
     }
-    sids(stored) = sid; times(stored) = time; types(stored) = t; values(stored) = v
+    types(stored) = t; values(stored) = v
     acc.store(aggs, stored * Width)
     stored += 1
-    if (time > lastTime || (time == lastTime && sid > lastSid)) { lastTime = time; lastSid = sid }
     if (plan.indexed(t)) {
       if (index(t) == null) index(t) = new ValueIndex
       index(t).insert(v, acc)
@@ -117,6 +107,6 @@ final class MixedGrained(query: TrendQuery, restore: Option[MixedState] = None)
   def snapshot: MixedState = MixedState(
     typeGrained.iterator.map(t => t -> AggBuf.read(slots, plan.id(t) * Width)).toMap,
     Vector.tabulate(stored)(j =>
-      StoredEv(sids(j), times(j), plan.types(types(j)), values(j), AggBuf.read(aggs, j * Width))),
+      StoredEv(plan.types(types(j)), values(j), AggBuf.read(aggs, j * Width))),
     finalAgg.toAgg)
 }

@@ -3,8 +3,8 @@ package repro.core
 /** Pattern-grained aggregator (paper §6, Algorithm 3, Theorem 6.2; Table 8
   * right column): under NEXT/CONT an event has at most one predecessor
   * event (Theorem 6.1), so only the final aggregate and the last matched
-  * event's aggregate are kept. Time O(n), space O(1). Runs on the query's
-  * [[Plan]]; an event allocates nothing.
+  * event's type, value and aggregate are kept. Time O(n), space O(1). Runs
+  * on the query's [[Plan]]; an event allocates nothing.
   *
   * Fidelity note (see DESIGN.md): this is the paper's single-tip operational
   * semantics; a new start-type event replaces the tip (Algorithm 3 line 7).
@@ -16,23 +16,23 @@ final class PatternGrained(query: TrendQuery, restore: Option[PatternState] = No
   private val plan = query.plan
   private val cont = query.semantics == Semantics.CONT
 
-  // Algorithm 3 line 1: the last matched event (null if none), its type id
-  // and aggregate
-  private var lastEv: Ev = null
+  // Algorithm 3 line 1: the last matched event's type id (-1 if none),
+  // value and aggregate
   private var lastType = -1
+  private var lastValue = 0.0
   private val tip = new AggBuf
   private val finalAgg = new AggBuf
 
   restore.foreach { s =>
-    s.tip.foreach { t => lastEv = t.toEv; lastType = plan.id(t.etype); tip.set(t.agg) }
+    s.tip.foreach { t => lastType = plan.id(t.etype); lastValue = t.value; tip.set(t.agg) }
     finalAgg.set(s.finalAgg)
   }
 
   def onEvent(e: Ev): Unit = {
     val t = plan.id(e.etype)
     val isStart = t == plan.start
-    val isAdj = t >= 0 && lastEv != null && plan.follows(lastType, t) &&
-      plan.holds(lastType, t, lastEv.value, e.value)
+    val isAdj = t >= 0 && lastType >= 0 && plan.follows(lastType, t) &&
+      plan.holds(lastType, t, lastValue, e.value)
     if (isStart || isAdj) { // isMatched (line 3)
       // lines 4–5 in place: the tip becomes merge(start unit, tip) or the
       // start unit alone (merge adds and takes min/max field by field, so
@@ -41,10 +41,10 @@ final class PatternGrained(query: TrendQuery, restore: Option[PatternState] = No
       else if (isStart) tip.add(1, 0, 0, Double.PositiveInfinity, Double.NegativeInfinity)
       tip.extend(e.value, t == plan.target)
       if (t == plan.end) finalAgg.add(tip) // line 6
-      lastEv = e; lastType = t             // line 7
+      lastType = t; lastValue = e.value    // line 7
     } else if (cont) {
       // lines 8–9: an unmatched event invalidates all partial trends
-      lastEv = null
+      lastType = -1
     }
     // under NEXT, unmatched events are irrelevant and skipped
   }
@@ -57,5 +57,5 @@ final class PatternGrained(query: TrendQuery, restore: Option[PatternState] = No
   def result: Agg = finalAgg.toAgg // line 10
   def liveUnits: Long = 2L   // final aggregate + last event's aggregate
   def snapshot: PatternState = PatternState(
-    Option(lastEv).map(e => StoredEv(e.sid, e.time, e.etype, e.value, tip.toAgg)), result)
+    Option.when(lastType >= 0)(StoredEv(plan.types(lastType), lastValue, tip.toAgg)), result)
 }

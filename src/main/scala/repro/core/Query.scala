@@ -48,10 +48,3 @@ final case class TrendQuery(
   def target: String = targetType.getOrElse(info.end)
   require(targetType.forall(pattern.types.contains), s"target $targetType not in pattern")
 }
-
-object TrendQuery {
-  /** Unwindowed query, for local aggregator tests over one substream. */
-  def local(p: Pattern, s: Semantics, preds: Seq[AdjPred] = Nil,
-            target: Option[String] = None): TrendQuery =
-    TrendQuery(p, s, preds, target, WindowSpec(Long.MaxValue / 4, Long.MaxValue / 4))
-}

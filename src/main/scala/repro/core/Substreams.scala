@@ -30,8 +30,11 @@ object Block {
     }
   }
 
-  /** The events of `group`'s `blocks`, sorted by (time, sid). Every event
-    * shares one `String` per type name and `group` itself. */
+  /** The events of `group`'s `blocks`, sorted by (time, sid): the one order
+    * in which every aggregator and baseline takes a substream. Every event
+    * shares one `String` per type name and `group` itself. Two events with
+    * the same (time, sid) have no order, so they fail the group
+    * (`IllegalArgumentException`). */
   def merge(group: String, blocks: Iterator[Block]): Array[Ev] = {
     val names = mutable.HashMap.empty[String, String]
     val out = mutable.ArrayBuilder.make[Ev]
@@ -42,6 +45,11 @@ object Block {
     }
     val evs = out.result()
     java.util.Arrays.sort(evs, Ev.ordering)
+    var i = 1
+    while (i < evs.length) {
+      require(Ev.ordering.compare(evs(i - 1), evs(i)) < 0, s"repeated (time, sid) in group $group: ${evs(i)}")
+      i += 1
+    }
     evs
   }
 }

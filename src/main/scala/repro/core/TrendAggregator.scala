@@ -1,8 +1,10 @@
 package repro.core
 
 /** Incremental trend aggregator over one substream (one group, one window),
-  * fed events in (time, sid) order. Implementations are the paper's three
-  * granularities (§§4–6); `S` is the granularity's streaming state. */
+  * fed its events in order: every event already fed is earlier than the
+  * next one (a group's events are ordered by (time, sid) once, in
+  * [[Block.merge]]). Implementations are the paper's three granularities
+  * (§§4–6); `S` is the granularity's streaming state. */
 trait TrendAggregator[S <: AggState] {
   /** Process one event and discard it (unless the granularity must store it). */
   def onEvent(e: Ev): Unit

@@ -8,9 +8,7 @@ import repro.bench.JobSupport
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM, 48g if it is unset. Broadcast joins are disabled so
-  * shuffle/join papers actually exercise the shuffle path at SF~=0.1;
-  * re-enable per-query if the paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM, 48g if it is unset.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

@@ -40,7 +40,7 @@ class EnginesSpec extends AnyFunSuite {
     val evs = randomStream(10, seed)
 
     test(s"SASE (two-step) == declarative under ANY [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Nil, Some("A"))
+      val q = TrendQuery(p, Semantics.ANY, Nil, Some("A"))
       val r = Sase.run(evs, q, budget)
       assert(!r.dnf)
       assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
@@ -48,7 +48,7 @@ class EnginesSpec extends AnyFunSuite {
     }
 
     test(s"SASE == declarative under ANY with predicates [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"))
+      val q = TrendQuery(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"))
       val r = Sase.run(evs, q, budget)
       assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
       assert(r.trends == BruteForce.anyTrends(evs, q).size)
@@ -56,7 +56,7 @@ class EnginesSpec extends AnyFunSuite {
 
     test(s"Flink (two-step, stores trends) == declarative under ANY [$pName seed=$seed]") {
       for (preds <- adjPredInputs) {
-        val q = TrendQuery.local(p, Semantics.ANY, preds, Some("A"))
+        val q = TrendQuery(p, Semantics.ANY, preds, Some("A"))
         val r = FlinkLike.run(evs, q, budget)
         val trends = BruteForce.anyTrends(evs, q)
         assert(!r.dnf)
@@ -69,7 +69,7 @@ class EnginesSpec extends AnyFunSuite {
 
     test(s"Flink == declarative under CONT [$pName seed=$seed]") {
       for (preds <- adjPredInputs) {
-        val q = TrendQuery.local(p, Semantics.CONT, preds, Some("A"))
+        val q = TrendQuery(p, Semantics.CONT, preds, Some("A"))
         val r = FlinkLike.run(evs, q, budget)
         val trends = BruteForce.contTrends(evs, q).size
         assert(!r.dnf)
@@ -80,13 +80,13 @@ class EnginesSpec extends AnyFunSuite {
     }
 
     test(s"A-Seq (flattened prefix counters) == declarative under ANY [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Nil, Some("A"))
+      val q = TrendQuery(p, Semantics.ANY, Nil, Some("A"))
       val r = ASeq.run(evs, q, budget)
       assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
     }
 
     test(s"GRETA (event-grained online) == declarative under ANY w/ preds [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"))
+      val q = TrendQuery(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")), Some("A"))
       val r = Greta.run(evs, q, budget)
       assertAggEq(r.agg, BruteForce.evaluate(evs, q), s"$pName/$seed")
     }
@@ -96,12 +96,12 @@ class EnginesSpec extends AnyFunSuite {
     val p = plus(seq(plus(tp("A")), tp("B")))
     val fig2 = Vector(Ev(1, "A"), Ev(2, "B"), Ev(3, "A"), Ev(4, "A"),
       Ev(5, "C"), Ev(6, "B"), Ev(7, "A"), Ev(8, "B"))
-    assert(Sase.run(fig2, TrendQuery.local(p, Semantics.NEXT), budget).trends == 8)
-    assert(Sase.run(fig2, TrendQuery.local(p, Semantics.CONT), budget).trends == 2)
+    assert(Sase.run(fig2, TrendQuery(p, Semantics.NEXT), budget).trends == 8)
+    assert(Sase.run(fig2, TrendQuery(p, Semantics.CONT), budget).trends == 2)
   }
 
   test("two-step engines DNF when the trend budget is exhausted") {
-    val q = TrendQuery.local(plus(tp("A")), Semantics.ANY)
+    val q = TrendQuery(plus(tp("A")), Semantics.ANY)
     val evs = Vector.tabulate(24)(i => Ev(i + 1L, "A")) // 2^24-1 trends
     val tiny = Budget(maxWork = 10_000)
     assert(Sase.run(evs, q, tiny).dnf)
@@ -116,12 +116,12 @@ class EnginesSpec extends AnyFunSuite {
     val p = seq(plus(tp("A")), tp("B"))
     val evs = randomStream(16, 7)
     val runs = Seq(
-      "Flink ANY" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
-      "Flink CONT" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery.local(p, Semantics.CONT), b)),
-      "SASE ANY" -> ((b: Budget) => Sase.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
-      "SASE NEXT" -> ((b: Budget) => Sase.run(evs, TrendQuery.local(p, Semantics.NEXT), b)),
-      "GRETA" -> ((b: Budget) => Greta.run(evs, TrendQuery.local(p, Semantics.ANY), b)),
-      "A-Seq" -> ((b: Budget) => ASeq.run(evs, TrendQuery.local(p, Semantics.ANY), b)))
+      "Flink ANY" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery(p, Semantics.ANY), b)),
+      "Flink CONT" -> ((b: Budget) => FlinkLike.run(evs, TrendQuery(p, Semantics.CONT), b)),
+      "SASE ANY" -> ((b: Budget) => Sase.run(evs, TrendQuery(p, Semantics.ANY), b)),
+      "SASE NEXT" -> ((b: Budget) => Sase.run(evs, TrendQuery(p, Semantics.NEXT), b)),
+      "GRETA" -> ((b: Budget) => Greta.run(evs, TrendQuery(p, Semantics.ANY), b)),
+      "A-Seq" -> ((b: Budget) => ASeq.run(evs, TrendQuery(p, Semantics.ANY), b)))
     for ((name, run) <- runs) {
       val free = run(budget)
       assert(!free.dnf && free.work > 0, name)
@@ -131,7 +131,7 @@ class EnginesSpec extends AnyFunSuite {
   }
 
   test("online engines agree with Cogra on large-ish exponential counts") {
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"))
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"))
     val r = new Random(42)
     val evs = Vector.tabulate(40)(i =>
       Ev(i + 1L, i + 1L, if (r.nextDouble() < 0.75) "A" else "B", "g", r.nextInt(10).toDouble))
@@ -141,7 +141,7 @@ class EnginesSpec extends AnyFunSuite {
   }
 
   test("memory-proxy ordering at a fixed workload: Cogra < A-Seq/GRETA < Flink") {
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"))
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("B"))
     val evs = randomStream(20, 99)
     val cogra = Engines.CograEngine.run(evs, q, budget)
     val aseq = ASeq.run(evs, q, budget)
@@ -165,15 +165,15 @@ class EnginesSpec extends AnyFunSuite {
 
   test("supports() gates engines exactly as Table 9 prescribes") {
     val p = seq(plus(tp("A")), tp("B"))
-    val qNext = TrendQuery.local(p, Semantics.NEXT)
-    val qPreds = TrendQuery.local(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")))
+    val qNext = TrendQuery(p, Semantics.NEXT)
+    val qPreds = TrendQuery(p, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")))
     assert(!FlinkLike.supports(qNext) && Sase.supports(qNext) && Engines.CograEngine.supports(qNext))
     assert(!ASeq.supports(qPreds) && Greta.supports(qPreds))
-    assert(!Greta.supports(TrendQuery.local(p, Semantics.CONT)))
+    assert(!Greta.supports(TrendQuery(p, Semantics.CONT)))
   }
 
   test("A-Seq reports its flattened query count (grows with match length)") {
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY)
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY)
     val shortEvs = Vector.tabulate(6)(i => Ev(i + 1L, if (i < 5) "A" else "B"))
     val longEvs = Vector.tabulate(12)(i => Ev(i + 1L, if (i < 11) "A" else "B"))
     val qs = ASeq.run(shortEvs, q, budget).trends

@@ -11,7 +11,7 @@ class AggregatorSpec extends AnyFunSuite {
   private val P = plus(seq(plus(tp("A")), tp("B")))
 
   test("type-grained space is Θ(l) regardless of stream length (Theorem 4.2)") {
-    val q = TrendQuery.local(P, Semantics.ANY)
+    val q = TrendQuery(P, Semantics.ANY)
     val agg = new TypeGrained(q)
     val r = new Random(1)
     (1 to 5000).foreach(i => agg.onEvent(Ev(i.toLong, i.toLong,
@@ -20,7 +20,7 @@ class AggregatorSpec extends AnyFunSuite {
   }
 
   test("pattern-grained space is O(1) (Theorem 6.3)") {
-    val q = TrendQuery.local(P, Semantics.NEXT)
+    val q = TrendQuery(P, Semantics.NEXT)
     val agg = new PatternGrained(q)
     (1 to 5000).foreach(i => agg.onEvent(Ev(i.toLong, i.toLong,
       if (i % 3 == 0) "B" else "A", "g", 1.0)))
@@ -28,7 +28,7 @@ class AggregatorSpec extends AnyFunSuite {
   }
 
   test("mixed-grained space is Θ(t + n_e): only restricted-type events stored (Theorem 5.2)") {
-    val q = TrendQuery.local(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))
+    val q = TrendQuery(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))
     val agg = new MixedGrained(q)
     var bCount = 0
     (1 to 200).foreach { i =>
@@ -41,13 +41,13 @@ class AggregatorSpec extends AnyFunSuite {
   }
 
   test("classifier: no predicates -> all types type-grained") {
-    val q = TrendQuery.local(P, Semantics.ANY)
+    val q = TrendQuery(P, Semantics.ANY)
     val agg = new MixedGrained(q)
     assert(agg.eventGrained.isEmpty && agg.typeGrained == Set("A", "B"))
   }
 
   test("classifier: predicate on (A,A) adjacency makes A event-grained") {
-    val q = TrendQuery.local(P, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")))
+    val q = TrendQuery(P, Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<")))
     val agg = new MixedGrained(q)
     assert(agg.eventGrained == Set("A") && agg.typeGrained == Set("B"))
   }
@@ -55,14 +55,14 @@ class AggregatorSpec extends AnyFunSuite {
   test("classifier: predicate whose prev type never precedes the next type is ignored") {
     // SEQ(A+,B): B is not a predecessor of A, so a (B,A) predicate cannot
     // restrict any adjacency (Theorem 5.1's E ∈ predTypes(E_x) condition)
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY,
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY,
       Seq(AdjPred.Cmp("B", "A", "<")))
     val agg = new MixedGrained(q)
     assert(agg.eventGrained.isEmpty)
   }
 
   test("classifier extreme: predicates on every adjacency -> fully event-grained (GRETA case)") {
-    val q = TrendQuery.local(P, Semantics.ANY,
+    val q = TrendQuery(P, Semantics.ANY,
       Seq(AdjPred.Cmp("A", "A", "<"), AdjPred.Cmp("B", "A", "<"), AdjPred.Cmp("A", "B", "<")))
     val agg = new MixedGrained(q)
     assert(agg.typeGrained.isEmpty)
@@ -72,14 +72,14 @@ class AggregatorSpec extends AnyFunSuite {
     val r = new Random(3)
     val evs = Vector.tabulate(60)(i => Ev(i + 1L, i + 1L,
       if (r.nextBoolean()) "A" else "B", "g", r.nextInt(10).toDouble))
-    val qt = TrendQuery.local(P, Semantics.ANY)
+    val qt = TrendQuery(P, Semantics.ANY)
     val tg = new TypeGrained(qt); val mg = new MixedGrained(qt)
     evs.foreach(tg.onEvent); evs.foreach(mg.onEvent)
     assert(tg.result == mg.result)
   }
 
   test("irrelevant event types are skipped under ANY (type + mixed)") {
-    val q = TrendQuery.local(P, Semantics.ANY)
+    val q = TrendQuery(P, Semantics.ANY)
     val agg = new TypeGrained(q)
     Seq(Ev(1, "A"), Ev(2, "Z"), Ev(3, "B")).foreach(agg.onEvent)
     assert(agg.result.count == 1.0)
@@ -87,7 +87,7 @@ class AggregatorSpec extends AnyFunSuite {
 
   test("pattern-grained rejects ANY queries (Table 4)") {
     assertThrows[IllegalArgumentException] {
-      new PatternGrained(TrendQuery.local(P, Semantics.ANY))
+      new PatternGrained(TrendQuery(P, Semantics.ANY))
     }
   }
 
@@ -117,11 +117,11 @@ class AggregatorSpec extends AnyFunSuite {
     assert(!(copies.head.etype eq evs.head.etype))
     val lt = Seq(AdjPred.Cmp("A", "A", "<"))
     for ((q, g) <- Seq(
-           TrendQuery.local(P, Semantics.ANY) -> Granularity.TypeG,
-           TrendQuery.local(P, Semantics.ANY, lt) -> Granularity.MixedG,
-           TrendQuery.local(P, Semantics.ANY, lt :+ AdjPred.Sel("B", "A", 0.5)) -> Granularity.MixedG,
-           TrendQuery.local(P, Semantics.NEXT, lt) -> Granularity.PatternG,
-           TrendQuery.local(P, Semantics.CONT) -> Granularity.PatternG)) {
+           TrendQuery(P, Semantics.ANY) -> Granularity.TypeG,
+           TrendQuery(P, Semantics.ANY, lt) -> Granularity.MixedG,
+           TrendQuery(P, Semantics.ANY, lt :+ AdjPred.Sel("B", "A", 0.5)) -> Granularity.MixedG,
+           TrendQuery(P, Semantics.NEXT, lt) -> Granularity.PatternG,
+           TrendQuery(P, Semantics.CONT) -> Granularity.PatternG)) {
       assert(Granularity.select(q) == g)
       val want = Cogra.run(evs, q)
       assert(want.count > 0, s"$g")
@@ -129,39 +129,43 @@ class AggregatorSpec extends AnyFunSuite {
     }
   }
 
-  test("mixed-grained: a stored event not earlier in (time, sid) order is no predecessor") {
-    // A+ with A<=A: every type is event-grained, as in GRETA, which checks
-    // the order per stored event; ties and a late event force that check
-    val q = TrendQuery.local(plus(tp("A")), Semantics.ANY, Seq(AdjPred.Cmp("A", "A", "<=")), Some("A"))
+  test("every granularity takes events in the order it is fed") {
+    // neither sorted by (time, sid) nor free of repeated pairs: every
+    // earlier event in the sequence is a candidate predecessor, as in the
+    // declarative definition
     val evs = Vector(Ev(1, 1, "A", "g", 1.0), Ev(2, 2, "A", "g", 2.0), Ev(2, 2, "A", "g", 3.0),
                      Ev(1, 0, "A", "g", 0.0), Ev(3, 3, "A", "g", 5.0), Ev(3, 3, "A", "g", 4.0))
-    val want = repro.baselines.Greta.run(evs, q, repro.baselines.Budget()).agg
-    assert(Cogra.run(evs, q) == want)
+    for (preds <- Seq(Nil, Seq(AdjPred.Cmp("A", "A", "<=")), Seq(AdjPred.Sel("A", "A", 0.5)))) {
+      val q = TrendQuery(plus(tp("A")), Semantics.ANY, preds, Some("A"))
+      val want = repro.baselines.BruteForce.evaluate(evs, q)
+      assert(Cogra.run(evs, q) == want, s"Cogra, $preds")
+      assert(repro.baselines.Greta.run(evs, q, repro.baselines.Budget()).agg == want, s"GRETA, $preds")
+    }
   }
 
   test("empty stream yields zero aggregates at every granularity") {
-    assert(new TypeGrained(TrendQuery.local(P, Semantics.ANY)).result == Agg.zero)
-    assert(new MixedGrained(TrendQuery.local(P, Semantics.ANY,
+    assert(new TypeGrained(TrendQuery(P, Semantics.ANY)).result == Agg.zero)
+    assert(new MixedGrained(TrendQuery(P, Semantics.ANY,
       Seq(AdjPred.Cmp("A", "A", "<")))).result == Agg.zero)
-    assert(new PatternGrained(TrendQuery.local(P, Semantics.CONT)).result == Agg.zero)
+    assert(new PatternGrained(TrendQuery(P, Semantics.CONT)).result == Agg.zero)
   }
 
   test("single end-type event with no start is not a trend") {
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY)
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY)
     val agg = new TypeGrained(q)
     agg.onEvent(Ev(1, "B"))
     assert(agg.result.count == 0.0)
   }
 
   test("single start-type event of a one-type pattern is a trend (induction basis)") {
-    val q = TrendQuery.local(plus(tp("A")), Semantics.ANY, Nil, Some("A"))
+    val q = TrendQuery(plus(tp("A")), Semantics.ANY, Nil, Some("A"))
     val agg = new TypeGrained(q)
     agg.onEvent(Ev(1, "A", 7.0))
     assert(agg.result == Agg(1, 1, 7.0, 7.0, 7.0))
   }
 
   test("target type other than the end type aggregates correctly (Table 8 E≠end)") {
-    val q = TrendQuery.local(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("A"))
+    val q = TrendQuery(seq(plus(tp("A")), tp("B")), Semantics.ANY, Nil, Some("A"))
     val agg = new TypeGrained(q)
     Seq(Ev(1, "A", 2.0), Ev(2, "A", 4.0), Ev(3, "B", 100.0)).foreach(agg.onEvent)
     // trends: (a1,b) (a2,b) (a1,a2,b): countE=4, sum=2+4+6=12, min=2, max=4
@@ -169,7 +173,7 @@ class AggregatorSpec extends AnyFunSuite {
   }
 
   test("CONT reset also clears the aggregate bundle, not just the count") {
-    val q = TrendQuery.local(plus(tp("M")), Semantics.CONT, Nil, Some("M"))
+    val q = TrendQuery(plus(tp("M")), Semantics.CONT, Nil, Some("M"))
     val agg = new PatternGrained(q)
     Seq(Ev(1, "M", 5.0), Ev(2, "Z", 0.0), Ev(3, "M", 9.0)).foreach(agg.onEvent)
     // trends: (m1) before the break, (m3) after; never (m1,m3)

@@ -148,6 +148,17 @@ class CograBatchSpec extends SparkSpec {
     assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] && c.getMessage.contains("-4")), causes)
   }
 
+  test("a repeated (time, sid) in a group fails the batch run; in two groups it does not") {
+    val q = TrendQuery(plus(tp("A")), Semantics.ANY, Nil, None, WindowSpec(10, 5))
+    val twin = Ev(2, 4, "A", "g", 2)
+    val ok = Seq(Ev(1, 3, "A", "g", 1), twin, twin.copy(group = "h"))
+    assert(CograBatch.run(spark, ok.toDS(), q).collect().length == 2)
+    val e = intercept[Exception](CograBatch.run(spark, (ok :+ twin.copy(value = 5)).toDS(), q).collect())
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      c.getMessage.contains("repeated (time, sid) in group g")), causes)
+  }
+
   test("SparkRunner: every engine supporting ANY SEQ(A+,B) returns CograBatch's results") {
     // two groups, sliding windows, and two events of a group per timestamp
     val r = new scala.util.Random(3)

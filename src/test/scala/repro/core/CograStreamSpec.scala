@@ -124,7 +124,7 @@ class CograStreamSpec extends SparkSpec {
       .map(e => e.copy(time = e.time + 100 * (e.time / 30)))
     val chunks = events.grouped(40).toSeq
     val windows = Seq(WindowSpec(20, 20), WindowSpec(25, 10),
-      TrendQuery.local(tp("A"), Semantics.ANY).window, TrendQuery(tp("A"), Semantics.ANY).window)
+      WindowSpec(Long.MaxValue / 4, Long.MaxValue / 4), TrendQuery(tp("A"), Semantics.ANY).window)
     for (win <- windows; q <- queries(win)) {
       val want = batchResults(q, events)
       assert(want.values.exists(_.count > 0), s"$q")
@@ -175,6 +175,17 @@ class CograStreamSpec extends SparkSpec {
       assert(batchesOf(5L) == Seq(0), s"$q")
       assert(batchesOf(60L) == (1 to 5), s"$q")
     }
+  }
+
+  test("a repeated (time, sid) in a group fails its micro-batch and emits no row") {
+    val q = TrendQuery(plus(tp("A")), Semantics.ANY, Nil, None, WindowSpec(10, 10))
+    val run = stream(q, Seq(
+      Seq(Ev(10, 10, "A", "g", 1)),
+      Seq(Ev(20, 20, "A", "g", 1), Ev(20, 20, "A", "g", 2))))
+    val causes = Iterator.iterate[Throwable](run.failure.orNull)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      c.getMessage.contains("repeated (time, sid) in group g")), causes)
+    assert(run.batches.map(_.map(r => (r.wid, r.count))) == Seq(Seq((10L, 1.0))))
   }
 
   test("a late event fails its micro-batch and emits no row; a time tie with a larger sid is in order") {

@@ -69,37 +69,37 @@ class DifferentialSpec extends AnyFunSuite {
     val target = Some("A")
 
     test(s"ANY no-predicates: type-grained == declarative [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.ANY, Nil, target)
+      val q = TrendQuery(p, Semantics.ANY, Nil, target)
       assert(Granularity.select(q) == Granularity.TypeG)
       assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/$seed")
     }
 
     for ((sName, preds) <- mixedPreds)
       test(s"ANY with predicates: mixed-grained == declarative [$pName seed=$seed$sName]") {
-        val q = TrendQuery.local(p, Semantics.ANY, preds, target)
+        val q = TrendQuery(p, Semantics.ANY, preds, target)
         assert(Granularity.select(q) == Granularity.MixedG)
         assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/$seed")
       }
 
     test(s"NEXT: pattern-grained == two-step construction [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.NEXT, Nil, target)
+      val q = TrendQuery(p, Semantics.NEXT, Nil, target)
       assertAggEq(Cogra.run(evs, q), Sase.run(evs, q, budget).agg, s"$pName/$seed")
     }
 
     test(s"NEXT with predicates: pattern-grained == two-step [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.NEXT, Seq(AdjPred.Cmp("A", "A", "<")), target)
+      val q = TrendQuery(p, Semantics.NEXT, Seq(AdjPred.Cmp("A", "A", "<")), target)
       assertAggEq(Cogra.run(evs, q), Sase.run(evs, q, budget).agg, s"$pName/$seed")
     }
 
     test(s"CONT: pattern-grained == two-step == declarative [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.CONT, Nil, target)
+      val q = TrendQuery(p, Semantics.CONT, Nil, target)
       val got = Cogra.run(evs, q)
       assertAggEq(got, Sase.run(evs, q, budget).agg, s"$pName/$seed two-step")
       assertAggEq(got, BruteForce.evaluate(evs, q), s"$pName/$seed declarative")
     }
 
     test(s"CONT with predicates: pattern-grained == two-step == declarative [$pName seed=$seed]") {
-      val q = TrendQuery.local(p, Semantics.CONT, Seq(AdjPred.Cmp("A", "A", "<")), target)
+      val q = TrendQuery(p, Semantics.CONT, Seq(AdjPred.Cmp("A", "A", "<")), target)
       val got = Cogra.run(evs, q)
       assertAggEq(got, Sase.run(evs, q, budget).agg, s"$pName/$seed two-step")
       assertAggEq(got, BruteForce.evaluate(evs, q), s"$pName/$seed declarative")
@@ -109,7 +109,7 @@ class DifferentialSpec extends AnyFunSuite {
   // one edge-valued stream per predicate set, aggregating the end type
   for ((pName, p) <- patterns; (sName, preds) <- mixedPreds)
     test(s"ANY with predicates: mixed-grained == declarative [$pName edge values$sName]") {
-      val q = TrendQuery.local(p, Semantics.ANY, preds, Some(p.types.last))
+      val q = TrendQuery(p, Semantics.ANY, preds, Some(p.types.last))
       val evs = edgeStream(16, 1, q.target)
       assert(Granularity.select(q) == Granularity.MixedG)
       assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"$pName/edge")
@@ -119,7 +119,7 @@ class DifferentialSpec extends AnyFunSuite {
   // single-tip discipline provably coincides (see DESIGN.md fidelity note)
   for (seed <- 1 to 12)
     test(s"NEXT A+ (single-type): pattern-grained == declarative [seed=$seed]") {
-      val q = TrendQuery.local(plus(tp("A")), Semantics.NEXT, Nil, Some("A"))
+      val q = TrendQuery(plus(tp("A")), Semantics.NEXT, Nil, Some("A"))
       val evs = randomStream(11, seed)
       assertAggEq(Cogra.run(evs, q), BruteForce.evaluate(evs, q), s"A+/$seed")
     }
@@ -129,7 +129,7 @@ class DifferentialSpec extends AnyFunSuite {
     // trend, but the single-tip algorithm replaces the tip b2 with the new
     // start a3 and reports 0 — the paper's Theorem 6.1 assumption at work.
     val p = seq(tp("A"), seq(tp("B"), tp("C")))
-    val q = TrendQuery.local(p, Semantics.NEXT)
+    val q = TrendQuery(p, Semantics.NEXT)
     val evs = Vector(Ev(1, "A"), Ev(2, "B"), Ev(3, "A"), Ev(4, "C"))
     assert(BruteForce.evaluate(evs, q).count == 1.0)
     assert(Cogra.run(evs, q).count == 0.0)
@@ -148,7 +148,7 @@ class DifferentialSpec extends AnyFunSuite {
          mixedPreds.drop(2).map { case (sName, preds) => (s"ANY/mixed$sName", Semantics.ANY, preds) } :+
          (("ANY/mixed A<A,B<A", Semantics.ANY, mixedPreds.head._2)))
     test(s"snapshot/restore mid-stream == single run [$pName $semName seed=$seed]") {
-      val q = TrendQuery.local(p, sem, preds, Some("A"))
+      val q = TrendQuery(p, sem, preds, Some("A"))
       val evs = if (seed == 0) edgeStream(12, 0, "A") else randomStream(12, seed)
       val (h1, h2) = evs.splitAt(6)
       val a1 = Cogra.aggregator(q)

@@ -18,7 +18,7 @@ class PaperExamplesSpec extends AnyFunSuite {
     Ev(5, "C", 0.0), Ev(6, "B", 10.0), Ev(7, "A", 5.0), Ev(8, "B", 10.0))
 
   test("Table 5: type-grained trend counts per event (A.count / B.count columns)") {
-    val q = TrendQuery.local(P, Semantics.ANY)
+    val q = TrendQuery(P, Semantics.ANY)
     val agg = new TypeGrained(q)
     // expected (A.count, B.count) after each event; None = unchanged slot
     val expected = Seq(
@@ -42,7 +42,7 @@ class PaperExamplesSpec extends AnyFunSuite {
   test("Table 6: mixed-grained counts — type-grained A, event-grained b's") {
     // predicates restrict the adjacency between b's and a's: (B.v < A.v)
     // with the values above, a's are adjacent to b2 (1<5) but not b6 (10>5)
-    val q = TrendQuery.local(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))
+    val q = TrendQuery(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))
     val agg = new MixedGrained(q)
     assert(agg.eventGrained == Set("B")) // b's must be stored (Example 6)
     assert(agg.typeGrained == Set("A"))
@@ -57,7 +57,7 @@ class PaperExamplesSpec extends AnyFunSuite {
   }
 
   test("Table 7 (bold): pattern-grained counts under skip-till-next-match") {
-    val q = TrendQuery.local(P, Semantics.NEXT)
+    val q = TrendQuery(P, Semantics.NEXT)
     val agg = new PatternGrained(q)
     // expected (e_l.count, final_count) after each event
     val expected = Seq(
@@ -74,7 +74,7 @@ class PaperExamplesSpec extends AnyFunSuite {
   }
 
   test("Table 7 (italics): pattern-grained counts under contiguous semantics") {
-    val q = TrendQuery.local(P, Semantics.CONT)
+    val q = TrendQuery(P, Semantics.CONT)
     val agg = new PatternGrained(q)
     val expected = Seq(
       (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0),
@@ -91,7 +91,7 @@ class PaperExamplesSpec extends AnyFunSuite {
   }
 
   test("Example 5 arithmetic: a7.count = A.count + B.count + 1 = 22") {
-    val q = TrendQuery.local(P, Semantics.ANY)
+    val q = TrendQuery(P, Semantics.ANY)
     val agg = new TypeGrained(q)
     fig2.take(6).foreach(agg.onEvent) // through b6
     val before = agg.snapshot.typeAggs
@@ -102,13 +102,13 @@ class PaperExamplesSpec extends AnyFunSuite {
 
   test("granularity selection (Table 4) for the three example queries") {
     import Granularity._
-    assert(Granularity.select(TrendQuery.local(P, Semantics.ANY)) == TypeG)
+    assert(Granularity.select(TrendQuery(P, Semantics.ANY)) == TypeG)
     assert(Granularity.select(
-      TrendQuery.local(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))) == MixedG)
-    assert(Granularity.select(TrendQuery.local(P, Semantics.NEXT)) == PatternG)
-    assert(Granularity.select(TrendQuery.local(P, Semantics.CONT)) == PatternG)
+      TrendQuery(P, Semantics.ANY, Seq(AdjPred.Cmp("B", "A", "<")))) == MixedG)
+    assert(Granularity.select(TrendQuery(P, Semantics.NEXT)) == PatternG)
+    assert(Granularity.select(TrendQuery(P, Semantics.CONT)) == PatternG)
     // predicates never change NEXT/CONT granularity (Table 4 spans both columns)
     assert(Granularity.select(
-      TrendQuery.local(P, Semantics.CONT, Seq(AdjPred.Cmp("A", "A", "<")))) == PatternG)
+      TrendQuery(P, Semantics.CONT, Seq(AdjPred.Cmp("A", "A", "<")))) == PatternG)
   }
 }

@@ -143,6 +143,16 @@ class SubstreamsSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     assert(Block.merge("g", Iterator.empty).isEmpty)
   }
 
+  test("Block.merge rejects a repeated (time, sid) in a group; equal times with distinct sids merge in sid order") {
+    val first = Block.of(Iterator(Ev(4, 7, "A", "g", 1), Ev(2, 7, "B", "g", 2))).toSeq
+    val second = Block.of(Iterator(Ev(3, 7, "A", "g", 3))).toSeq
+    assert(Block.merge("g", (first ++ second).iterator).map(_.sid).toSeq == Seq(2L, 3L, 4L))
+    val twin = Ev(4, 7, "B", "g", 5)
+    val e = intercept[IllegalArgumentException](Block.merge("g", (first ++ Block.of(Iterator(twin))).iterator))
+    // the sort is stable, so the later of the two equal events is named
+    assert(e.getMessage.endsWith(s"repeated (time, sid) in group g: $twin"), e.getMessage)
+  }
+
   test("several groups, each cut into its own windows") {
     val evs = for (g <- 0 until 5; t <- 0L until 20L) yield Ev(g * 100L + t, t, "A", s"g$g", t.toDouble)
     val got = check(evs, WindowSpec(6, 3))
